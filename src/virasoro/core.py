@@ -1,15 +1,17 @@
-"""Exact scalars and finitely supported vectors.
+"""Exact scalars, finitely supported vectors and partition-graded modules.
 
 The ground field is the rationals, realised by fractions.Fraction: every
 value is kept in lowest terms with a positive denominator and arithmetic
 never rounds.  Vectors are sparse maps from basis indices to scalars; zero
-coefficients are never stored, so equality is structural.
+coefficients are never stored, so equality is structural.  The Fock and
+highest-weight modules share one vector type over a partition basis.
 """
 
 from __future__ import annotations
 
 import re
 from fractions import Fraction
+from functools import lru_cache
 from typing import Callable, Iterable, Mapping
 
 Scalar = Fraction
@@ -199,3 +201,106 @@ def cyclic_triple_sum(mu: Callable, nu: Callable, x: FreeVector, y: FreeVector,
     return (bilinear_extend(mu, x, nu_vec(y, z), zero)
             + bilinear_extend(mu, y, nu_vec(z, x), zero)
             + bilinear_extend(mu, z, nu_vec(x, y), zero))
+
+
+Partition = tuple[int, ...]
+
+
+@lru_cache(maxsize=None)
+def partitions_of_level(n: int) -> tuple[Partition, ...]:
+    """All partitions of n as weakly decreasing tuples, lexicographically sorted."""
+    def generate(total, max_part):
+        if total == 0:
+            yield ()
+            return
+        for part in range(min(total, max_part), 0, -1):
+            for rest in generate(total - part, part):
+                yield (part,) + rest
+    return tuple(sorted(generate(n, n)))
+
+
+def partitions_up_to(max_level: int) -> tuple[Partition, ...]:
+    """Partitions of 0..max_level, ordered by (level, lexicographic)."""
+    out: list[Partition] = []
+    for n in range(max_level + 1):
+        out.extend(partitions_of_level(n))
+    return tuple(out)
+
+
+class ModuleVector:
+    """Element of a partition-graded module fixed by exact parameters.
+
+    The terms map partitions to scalars: (p_m >= ... >= p_1) stands for
+    X(-p_m)...X(-p_1) applied to the generating vector, X being the
+    generator letter.  A subclass declares `parameters`, the names of the
+    values its constructor takes before the terms (each readable as an
+    attribute); `noun`, what those values are called when two vectors
+    disagree on them; and the `letter` and `ket` it renders with.  Vectors
+    combine only within one module.  Instances are treated as immutable.
+    """
+
+    __slots__ = ("module", "terms")
+    parameters: tuple[str, ...] = ()
+    noun = letter = ket = ""
+
+    def __init_subclass__(cls):
+        for position, name in enumerate(cls.parameters):
+            setattr(cls, name, property(lambda self, position=position: self.module[position]))
+
+    def __init__(self, *values):
+        *module, terms = values
+        if len(module) != len(self.parameters):
+            raise TypeError(f"{type(self).__name__} takes {self.parameters} and the terms")
+        self.module = tuple(map(as_scalar, module))
+        self.terms = terms
+
+    def with_terms(self, terms: FreeVector) -> "ModuleVector":
+        """The vector of the same module with the given terms."""
+        vector = object.__new__(type(self))  # the parameters are already exact
+        vector.module, vector.terms = self.module, terms
+        return vector
+
+    def is_zero(self) -> bool:
+        return self.terms.is_zero()
+
+    def coeff(self, partition: Partition) -> Fraction:
+        return self.terms.coeff(partition)
+
+    def __add__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        if self.module != other.module:
+            shown = ["(" + ", ".join(map(str, v.module)) + ")" for v in (self, other)]
+            raise ValueError(f"cannot combine vectors of {self.noun} {shown[0]} and {shown[1]}")
+        return self.with_terms(self.terms + other.terms)
+
+    def __sub__(self, other):
+        return self + (-other) if type(other) is type(self) else NotImplemented
+
+    def __neg__(self):
+        return self.with_terms(-self.terms)
+
+    def __mul__(self, scalar):
+        if not isinstance(scalar, (int, Fraction)):
+            return NotImplemented
+        return self.with_terms(scalar * self.terms)
+
+    __rmul__ = __mul__
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self.module == other.module and self.terms == other.terms
+
+    def __str__(self):
+        if self.is_zero():
+            return "0"
+        rendered = []
+        for partition, coeff in sorted(self.terms.items(),
+                                       key=lambda item: (sum(item[0]), item[0])):
+            word = "".join(f"{self.letter}(-{part})" for part in partition)
+            rendered.append(f"{format_scalar(coeff)}·{word}{self.ket}")
+        return " + ".join(rendered)
+
+    def __repr__(self):
+        return f"{type(self).__name__}{self.module + (self.terms,)!r}"

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 from typing import Callable
 
 from . import witt
@@ -112,17 +113,23 @@ def check_virasoro_constants(max_index: int) -> VerificationReport:
     [L_m, L_n] = (m - n) L_{m+n} + (m^3 - m)/12 * delta_{m,-n} C and
     [C, L_n] = [L_n, C] = 0, for all |m|, |n| <= max_index.
     """
-    return _constants_check("virasoro-constants", WITT,
-                            CocycleOracle(virasoro_cocycle, "virasoro"), max_index)
+    def closed_form(m, n):
+        return ExtElement(FreeVector.basis(m + n, m - n),
+                          Fraction(m**3 - m, 12) if m + n == 0 else ZERO)
+
+    bracket = partial(ext_bracket, WITT, CocycleOracle(virasoro_cocycle, "virasoro"))
+    return _constants_check("virasoro-constants", bracket, closed_form, max_index)
 
 
 def check_heisenberg_constants(max_index: int) -> VerificationReport:
     """[J_k, J_l] = k delta_{k,-l} K and [K, J_k] = 0 for |k|, |l| <= max_index."""
-    return _constants_check("heisenberg-constants", ABELIAN, HEISENBERG, max_index)
+    return _constants_check("heisenberg-constants", partial(ext_bracket, ABELIAN, HEISENBERG),
+                            lambda k, l: emb(k if k + l == 0 else 0), max_index)
 
 
-def _constants_check(check_name: str, base: BaseAlgebra, omega: CocycleOracle,
+def _constants_check(check_name: str, bracket: Callable, closed_form: Callable,
                      max_index: int) -> VerificationReport:
+    """The bracket of each pair of basis generators against its closed form."""
     parameters = {"max_index": str(max_index)}
     indices = range(-max_index, max_index + 1)
     central = emb(ONE)
@@ -130,11 +137,8 @@ def _constants_check(check_name: str, base: BaseAlgebra, omega: CocycleOracle,
     for m in indices:
         for n in indices:
             checked += 1
-            actual = ext_bracket(base, omega, _gen(m), _gen(n))
-            expected = ExtElement(
-                bilinear_extend(base.bracket_pair, FreeVector.basis(m),
-                                FreeVector.basis(n), FreeVector.zero()),
-                omega(m, n))
+            actual = bracket(_gen(m), _gen(n))
+            expected = closed_form(m, n)
             if actual != expected:
                 return failing(check_name, parameters, checked,
                                counterexample({"m": m, "n": n},
@@ -143,7 +147,7 @@ def _constants_check(check_name: str, base: BaseAlgebra, omega: CocycleOracle,
     for n in indices:
         for left, right, label in ((central, _gen(n), "C"), (_gen(n), central, str(n))):
             checked += 1
-            actual = ext_bracket(base, omega, left, right)
+            actual = bracket(left, right)
             if not actual.is_zero():
                 return failing(check_name, parameters, checked,
                                counterexample({"left": label, "n": n},

@@ -10,14 +10,15 @@ the truncation bound of a vector tells how far those sums have to reach.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .core import ONE, ZERO, FreeVector, as_scalar, format_scalar
+from .core import (ZERO, FreeVector, ModuleVector, Partition, as_scalar, format_scalar,
+                   linear_extend, partitions_of_level, partitions_up_to)
 from .reports import VerificationReport, counterexample, failing, passing
+from .sweeps import index_grid, run_sweep
 
-Partition = tuple[int, ...]
+# partitions_of_level and partitions_up_to enumerate the basis; importable from here.
 
 _HALF = Fraction(1, 2)
 
@@ -43,86 +44,21 @@ def remove_part(partition: Partition, part: int) -> Partition:
     return tuple(out)
 
 
-@lru_cache(maxsize=None)
-def partitions_of_level(n: int) -> tuple[Partition, ...]:
-    """All partitions of n as weakly decreasing tuples, lexicographically sorted."""
-    def generate(total, max_part):
-        if total == 0:
-            yield ()
-            return
-        for part in range(min(total, max_part), 0, -1):
-            for rest in generate(total - part, part):
-                yield (part,) + rest
-    return tuple(sorted(generate(n, n)))
-
-
-def partitions_up_to(max_level: int) -> tuple[Partition, ...]:
-    """Partitions of 0..max_level, ordered by (level, lexicographic)."""
-    out: list[Partition] = []
-    for n in range(max_level + 1):
-        out.extend(partitions_of_level(n))
-    return tuple(out)
-
-
-@dataclass(frozen=True)
-class FockVector:
+class FockVector(ModuleVector):
     """Element of the charge-alpha module: sparse partition -> scalar map."""
-    alpha: Fraction
-    terms: FreeVector
-
-    def __post_init__(self):
-        object.__setattr__(self, "alpha", as_scalar(self.alpha))
-
-    def is_zero(self) -> bool:
-        return self.terms.is_zero()
-
-    def coeff(self, partition: Partition) -> Fraction:
-        return self.terms.coeff(partition)
-
-    def _same_charge(self, other: "FockVector"):
-        if self.alpha != other.alpha:
-            raise ValueError(
-                f"cannot combine vectors of charge {self.alpha} and {other.alpha}")
-
-    def __add__(self, other):
-        if not isinstance(other, FockVector):
-            return NotImplemented
-        self._same_charge(other)
-        return FockVector(self.alpha, self.terms + other.terms)
-
-    def __sub__(self, other):
-        if not isinstance(other, FockVector):
-            return NotImplemented
-        self._same_charge(other)
-        return FockVector(self.alpha, self.terms - other.terms)
-
-    def __neg__(self):
-        return FockVector(self.alpha, -self.terms)
-
-    def __mul__(self, scalar):
-        if not isinstance(scalar, (int, Fraction)):
-            return NotImplemented
-        return FockVector(self.alpha, scalar * self.terms)
-
-    __rmul__ = __mul__
+    parameters = ("alpha",)
+    noun, letter, ket = "charge", "J", "|α⟩"
 
 
 def vacuum(alpha) -> FockVector:
-    return FockVector(as_scalar(alpha), FreeVector.basis(()))
+    return FockVector(alpha, FreeVector.basis(()))
+
 
 def basis(alpha, partition) -> FockVector:
-    return FockVector(as_scalar(alpha), FreeVector.basis(as_partition(partition)))
+    return FockVector(alpha, FreeVector.basis(as_partition(partition)))
 
 
-def format_vector(v: FockVector) -> str:
-    if v.is_zero():
-        return "0"
-    terms = sorted(v.terms.items(), key=lambda item: (level(item[0]), item[0]))
-    rendered = []
-    for partition, coeff in terms:
-        word = "".join(f"J(-{part})" for part in partition)
-        rendered.append(f"{format_scalar(coeff)}·{word}|α⟩")
-    return " + ".join(rendered)
+format_vector = FockVector.__str__
 
 
 @lru_cache(maxsize=None)
@@ -143,9 +79,8 @@ def j_action(k: int, v: FockVector) -> FockVector:
     k < 0 inserts a part |k|; k = 0 scales by the charge; k > 0 removes one
     copy of k weighted by k times its multiplicity (zero if k is not a part).
     """
-    out = FreeVector.linear_combination(
-        (coeff, _j_basis(k, partition, v.alpha)) for partition, coeff in v.terms.items())
-    return FockVector(v.alpha, out)
+    alpha = v.alpha
+    return v.with_terms(linear_extend(lambda p: _j_basis(k, p, alpha), v.terms))
 
 
 def truncation_bound(v: FockVector) -> int:
@@ -184,10 +119,8 @@ def sugawara_l(n: int, v: FockVector) -> FockVector:
     Only indices with n - N < k < N contribute, where N is the truncation
     bound, so the sum is finite; every omitted term vanishes on v.
     """
-    out = FreeVector.linear_combination(
-        (coeff, _sugawara_basis(n, partition, v.alpha))
-        for partition, coeff in v.terms.items())
-    return FockVector(v.alpha, out)
+    alpha = v.alpha
+    return v.with_terms(linear_extend(lambda p: _sugawara_basis(n, p, alpha), v.terms))
 
 
 def weighted_sum_check(n: int) -> bool:
@@ -208,54 +141,11 @@ def check_weighted_sum(max_n: int) -> VerificationReport:
     return passing("weighted-sum-identity", parameters, max_n + 1)
 
 
-# ---------------------------------------------------------------------------
-# Sweeps.  Each worker handles one index tuple over all partitions up to the
-# level bound and reports (first counterexample or None, instances examined).
-# Serial runs stop at the first failing tuple; parallel runs compute tuples
-# independently and merge in canonical order, so reports are identical for
-# any job count.
+# Sweeps: each identity maps indices and a basis vector to the two sides that must agree.
 
-def _run_tasks(tasks, worker, jobs):
-    if jobs > 1:
-        from concurrent.futures import ProcessPoolExecutor
-        chunksize = max(1, len(tasks) // (jobs * 4) or 1)
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(worker, tasks, chunksize=chunksize))
-    else:
-        results = []
-        for task in tasks:
-            result = worker(task)
-            results.append(result)
-            if result[0] is not None:
-                break
-    checked = 0
-    for found, count in results:
-        checked += count
-        if found is not None:
-            return found, checked
-    return None, checked
-
-
-def _report(check_name, parameters, found, checked):
-    if found is not None:
-        return failing(check_name, parameters, checked, found)
-    return passing(check_name, parameters, checked)
-
-
-def _heisenberg_task(task):
-    k, l, max_level, alpha = task
-    count = 0
-    scale = Fraction(k) if k + l == 0 else ZERO
-    for partition in partitions_up_to(max_level):
-        count += 1
-        v = FockVector(alpha, FreeVector.basis(partition))
-        lhs = j_action(k, j_action(l, v)) - j_action(l, j_action(k, v))
-        rhs = scale * v
-        if lhs != rhs:
-            return counterexample({"k": k, "l": l},
-                                  expected=format_vector(rhs), actual=format_vector(lhs),
-                                  input_text=format_vector(v)), count
-    return None, count
+def _heisenberg(k, l, v):
+    return (j_action(k, j_action(l, v)) - j_action(l, j_action(k, v)),
+            (k if k + l == 0 else 0) * v)
 
 
 def check_heisenberg_relations(max_index: int, max_level: int, alpha,
@@ -264,25 +154,13 @@ def check_heisenberg_relations(max_index: int, max_level: int, alpha,
     alpha = as_scalar(alpha)
     parameters = {"max_index": str(max_index), "max_level": str(max_level),
                   "alpha": format_scalar(alpha)}
-    indices = range(-max_index, max_index + 1)
-    tasks = [(k, l, max_level, alpha) for k in indices for l in indices]
-    found, checked = _run_tasks(tasks, _heisenberg_task, jobs)
-    return _report("heisenberg-relations", parameters, found, checked)
+    return run_sweep("heisenberg-relations", parameters, _heisenberg,
+                     index_grid(k=max_index, l=max_index), vacuum(alpha), max_level, jobs)
 
 
-def _primary_field_task(task):
-    n, k, max_level, alpha = task
-    count = 0
-    for partition in partitions_up_to(max_level):
-        count += 1
-        v = FockVector(alpha, FreeVector.basis(partition))
-        lhs = sugawara_l(n, j_action(k, v)) - j_action(k, sugawara_l(n, v))
-        rhs = -k * j_action(n + k, v)
-        if lhs != rhs:
-            return counterexample({"n": n, "k": k},
-                                  expected=format_vector(rhs), actual=format_vector(lhs),
-                                  input_text=format_vector(v)), count
-    return None, count
+def _primary_field(n, k, v):
+    return (sugawara_l(n, j_action(k, v)) - j_action(k, sugawara_l(n, v)),
+            -k * j_action(n + k, v))
 
 
 def check_primary_field(max_index: int, max_level: int, alpha,
@@ -291,34 +169,17 @@ def check_primary_field(max_index: int, max_level: int, alpha,
     alpha = as_scalar(alpha)
     parameters = {"max_index": str(max_index), "max_level": str(max_level),
                   "alpha": format_scalar(alpha)}
-    indices = range(-max_index, max_index + 1)
-    tasks = [(n, k, max_level, alpha) for n in indices for k in indices]
-    found, checked = _run_tasks(tasks, _primary_field_task, jobs)
-    return _report("primary-field", parameters, found, checked)
+    return run_sweep("primary-field", parameters, _primary_field,
+                     index_grid(n=max_index, k=max_index), vacuum(alpha), max_level, jobs)
 
 
-def _normal_pair_commutator_task(task):
-    n, m, k, max_level, alpha = task
-    indicator = 0
-    if n + m == 0:
-        if 0 <= k < -n:
-            indicator = 1
-        elif -n <= k < 0:
-            indicator = -1
-    central = Fraction(k * (n + k) * indicator)
-    count = 0
-    for partition in partitions_up_to(max_level):
-        count += 1
-        v = FockVector(alpha, FreeVector.basis(partition))
-        lhs = sugawara_l(n, normal_pair(m - k, k, v)) - normal_pair(m - k, k, sugawara_l(n, v))
-        rhs = (-k * normal_pair(m - k, n + k, v)
-               - (m - k) * normal_pair(n + m - k, k, v)
-               + central * v)
-        if lhs != rhs:
-            return counterexample({"n": n, "m": m, "k": k},
-                                  expected=format_vector(rhs), actual=format_vector(lhs),
-                                  input_text=format_vector(v)), count
-    return None, count
+def _normal_pair_commutator(n, m, k, v):
+    indicator = (0 <= k < -n) - (-n <= k < 0) if n + m == 0 else 0
+    lhs = sugawara_l(n, normal_pair(m - k, k, v)) - normal_pair(m - k, k, sugawara_l(n, v))
+    rhs = (-k * normal_pair(m - k, n + k, v)
+           - (m - k) * normal_pair(n + m - k, k, v)
+           + k * (n + k) * indicator * v)
+    return lhs, rhs
 
 
 def check_normal_pair_commutator(n: int, m: int, k: int, max_level: int,
@@ -331,9 +192,8 @@ def check_normal_pair_commutator(n: int, m: int, k: int, max_level: int,
     alpha = as_scalar(alpha)
     parameters = {"n": str(n), "m": str(m), "k": str(k),
                   "max_level": str(max_level), "alpha": format_scalar(alpha)}
-    found, checked = _run_tasks([(n, m, k, max_level, alpha)],
-                                _normal_pair_commutator_task, 1)
-    return _report("normal-pair-commutator", parameters, found, checked)
+    return run_sweep("normal-pair-commutator", parameters, _normal_pair_commutator,
+                     [{"n": n, "m": m, "k": k}], vacuum(alpha), max_level, 1)
 
 
 def sweep_normal_pair(max_index: int, max_k: int, max_level: int, alpha,
@@ -342,28 +202,15 @@ def sweep_normal_pair(max_index: int, max_k: int, max_level: int, alpha,
     alpha = as_scalar(alpha)
     parameters = {"max_index": str(max_index), "max_k": str(max_k),
                   "max_level": str(max_level), "alpha": format_scalar(alpha)}
-    indices = range(-max_index, max_index + 1)
-    tasks = [(n, m, k, max_level, alpha)
-             for n in indices for m in indices
-             for k in range(-max_k, max_k + 1)]
-    found, checked = _run_tasks(tasks, _normal_pair_commutator_task, jobs)
-    return _report("normal-pair-commutator", parameters, found, checked)
+    return run_sweep("normal-pair-commutator", parameters, _normal_pair_commutator,
+                     index_grid(n=max_index, m=max_index, k=max_k),
+                     vacuum(alpha), max_level, jobs)
 
 
-def _sugawara_commutator_task(task):
-    n, m, max_level, alpha = task
+def _sugawara_commutator(n, m, v):
     central = Fraction(n**3 - n, 12) if n + m == 0 else ZERO
-    count = 0
-    for partition in partitions_up_to(max_level):
-        count += 1
-        v = FockVector(alpha, FreeVector.basis(partition))
-        lhs = sugawara_l(n, sugawara_l(m, v)) - sugawara_l(m, sugawara_l(n, v))
-        rhs = (n - m) * sugawara_l(n + m, v) + central * v
-        if lhs != rhs:
-            return counterexample({"n": n, "m": m},
-                                  expected=format_vector(rhs), actual=format_vector(lhs),
-                                  input_text=format_vector(v)), count
-    return None, count
+    return (sugawara_l(n, sugawara_l(m, v)) - sugawara_l(m, sugawara_l(n, v)),
+            (n - m) * sugawara_l(n + m, v) + central * v)
 
 
 def check_sugawara_commutator(max_index: int, max_level: int, alpha,
@@ -375,7 +222,5 @@ def check_sugawara_commutator(max_index: int, max_level: int, alpha,
     alpha = as_scalar(alpha)
     parameters = {"max_index": str(max_index), "max_level": str(max_level),
                   "alpha": format_scalar(alpha)}
-    indices = range(-max_index, max_index + 1)
-    tasks = [(n, m, max_level, alpha) for n in indices for m in indices]
-    found, checked = _run_tasks(tasks, _sugawara_commutator_task, jobs)
-    return _report("sugawara-commutator", parameters, found, checked)
+    return run_sweep("sugawara-commutator", parameters, _sugawara_commutator,
+                     index_grid(n=max_index, m=max_index), vacuum(alpha), max_level, jobs)

@@ -12,79 +12,31 @@ vacuum; it exists exactly when c = 1 and h = alpha^2 / 2.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partial
 
 from . import fock
-from .core import ZERO, FreeVector, as_scalar, format_scalar
-from .fock import Partition, as_partition, level, partitions_up_to
+from .core import ZERO, FreeVector, ModuleVector, as_scalar, format_scalar, linear_extend
+from .fock import Partition, as_partition
 from .reports import VerificationReport, counterexample, failing, passing
+from .sweeps import index_grid, run_sweep
 
 
-@dataclass(frozen=True)
-class VermaVector:
+class VermaVector(ModuleVector):
     """Element of the (c, h) module: sparse partition -> scalar map."""
-    c: Fraction
-    h: Fraction
-    terms: FreeVector
-
-    def __post_init__(self):
-        object.__setattr__(self, "c", as_scalar(self.c))
-        object.__setattr__(self, "h", as_scalar(self.h))
-
-    def is_zero(self) -> bool:
-        return self.terms.is_zero()
-
-    def coeff(self, partition: Partition) -> Fraction:
-        return self.terms.coeff(partition)
-
-    def _same_module(self, other: "VermaVector"):
-        if self.c != other.c or self.h != other.h:
-            raise ValueError(
-                f"cannot combine vectors of weight ({self.c}, {self.h}) "
-                f"and ({other.c}, {other.h})")
-
-    def __add__(self, other):
-        if not isinstance(other, VermaVector):
-            return NotImplemented
-        self._same_module(other)
-        return VermaVector(self.c, self.h, self.terms + other.terms)
-
-    def __sub__(self, other):
-        if not isinstance(other, VermaVector):
-            return NotImplemented
-        self._same_module(other)
-        return VermaVector(self.c, self.h, self.terms - other.terms)
-
-    def __neg__(self):
-        return VermaVector(self.c, self.h, -self.terms)
-
-    def __mul__(self, scalar):
-        if not isinstance(scalar, (int, Fraction)):
-            return NotImplemented
-        return VermaVector(self.c, self.h, scalar * self.terms)
-
-    __rmul__ = __mul__
+    parameters = ("c", "h")
+    noun, letter, ket = "weight", "L", "|c,h⟩"
 
 
 def hw_vector(c, h) -> VermaVector:
-    return VermaVector(as_scalar(c), as_scalar(h), FreeVector.basis(()))
+    return VermaVector(c, h, FreeVector.basis(()))
 
 
 def basis(c, h, partition) -> VermaVector:
-    return VermaVector(as_scalar(c), as_scalar(h), FreeVector.basis(as_partition(partition)))
+    return VermaVector(c, h, FreeVector.basis(as_partition(partition)))
 
 
-def format_vector(v: VermaVector) -> str:
-    if v.is_zero():
-        return "0"
-    terms = sorted(v.terms.items(), key=lambda item: (level(item[0]), item[0]))
-    rendered = []
-    for partition, coeff in terms:
-        word = "".join(f"L(-{part})" for part in partition)
-        rendered.append(f"{format_scalar(coeff)}·{word}|c,h⟩")
-    return " + ".join(rendered)
+format_vector = VermaVector.__str__
 
 
 @lru_cache(maxsize=None)
@@ -119,9 +71,8 @@ def _act_basis(a: int, partition: Partition, c: Fraction, h: Fraction) -> FreeVe
 
 
 def l_action(a: int, v: VermaVector) -> VermaVector:
-    out = FreeVector.linear_combination(
-        (coeff, _act_basis(a, partition, v.c, v.h)) for partition, coeff in v.terms.items())
-    return VermaVector(v.c, v.h, out)
+    c, h = v.module
+    return v.with_terms(linear_extend(lambda p: _act_basis(a, p, c, h), v.terms))
 
 
 def c_action(v: VermaVector) -> VermaVector:
@@ -151,39 +102,25 @@ def straightening_depth(a: int, partition: Partition, c, h) -> int:
     return depth
 
 
-def _relations_task(task):
-    n, m, max_level, c, h = task
-    central = Fraction(n**3 - n, 12) * c if n + m == 0 else ZERO
-    count = 0
-    for partition in partitions_up_to(max_level):
-        count += 1
-        v = VermaVector(c, h, FreeVector.basis(partition))
-        lhs = l_action(n, l_action(m, v)) - l_action(m, l_action(n, v))
-        rhs = (n - m) * l_action(n + m, v) + central * v
-        if lhs != rhs:
-            return counterexample({"n": n, "m": m},
-                                  expected=format_vector(rhs), actual=format_vector(lhs),
-                                  input_text=format_vector(v)), count
-    return None, count
+def _relations(n, m, v):
+    central = Fraction(n**3 - n, 12) * v.c if n + m == 0 else ZERO
+    return (l_action(n, l_action(m, v)) - l_action(m, l_action(n, v)),
+            (n - m) * l_action(n + m, v) + central * v)
 
 
 def check_verma_relations(max_index: int, max_level: int, c, h,
                           jobs: int = 1) -> VerificationReport:
     """[L(n), L(m)] = (n - m) L(n+m) + (n^3 - n)/12 delta_{n,-m} c on the basis."""
-    c = as_scalar(c)
-    h = as_scalar(h)
+    c, h = as_scalar(c), as_scalar(h)
     parameters = {"max_index": str(max_index), "max_level": str(max_level),
                   "c": format_scalar(c), "h": format_scalar(h)}
-    indices = range(-max_index, max_index + 1)
-    tasks = [(n, m, max_level, c, h) for n in indices for m in indices]
-    found, checked = fock._run_tasks(tasks, _relations_task, jobs)
-    return fock._report("verma-relations", parameters, found, checked)
+    return run_sweep("verma-relations", parameters, _relations,
+                     index_grid(n=max_index, m=max_index), hw_vector(c, h), max_level, jobs)
 
 
 def verma_hw_check(c, h, max_index: int = 10) -> VerificationReport:
     """L(0) v = h v, C v = c v and L(n) v = 0 for 1 <= n <= max_index."""
-    c = as_scalar(c)
-    h = as_scalar(h)
+    c, h = as_scalar(c), as_scalar(h)
     parameters = {"c": format_scalar(c), "h": format_scalar(h),
                   "max_index": str(max_index)}
     v = hw_vector(c, h)
@@ -214,31 +151,18 @@ def universal_map(alpha, v: VermaVector) -> fock.FockVector:
             "the canonical map into the charged Fock module requires central "
             f"charge 1 and highest weight alpha^2/2 = {alpha * alpha / 2}; "
             f"got (c, h) = ({format_scalar(v.c)}, {format_scalar(v.h)})")
-    out = fock.FockVector(alpha, FreeVector.zero())
-    for partition, coeff in v.terms.items():
-        image = fock.vacuum(alpha)
+
+    def image(partition):
+        vector = fock.vacuum(alpha)
         for part in reversed(partition):
-            image = fock.sugawara_l(-part, image)
-        out = out + coeff * image
-    return out
+            vector = fock.sugawara_l(-part, vector)
+        return vector.terms
+
+    return fock.FockVector(alpha, linear_extend(image, v.terms))
 
 
-def _intertwining_task(task):
-    a, max_level, alpha = task
-    c = Fraction(1)
-    h = alpha * alpha / 2
-    count = 0
-    for partition in partitions_up_to(max_level):
-        count += 1
-        x = VermaVector(c, h, FreeVector.basis(partition))
-        lhs = universal_map(alpha, l_action(a, x))
-        rhs = fock.sugawara_l(a, universal_map(alpha, x))
-        if lhs != rhs:
-            return counterexample({"a": a},
-                                  expected=fock.format_vector(rhs),
-                                  actual=fock.format_vector(lhs),
-                                  input_text=format_vector(x)), count
-    return None, count
+def _intertwining(alpha, a, v):
+    return universal_map(alpha, l_action(a, v)), fock.sugawara_l(a, universal_map(alpha, v))
 
 
 def check_intertwining(alpha, max_index: int, max_level: int,
@@ -247,6 +171,5 @@ def check_intertwining(alpha, max_index: int, max_level: int,
     alpha = as_scalar(alpha)
     parameters = {"alpha": format_scalar(alpha), "max_index": str(max_index),
                   "max_level": str(max_level)}
-    tasks = [(a, max_level, alpha) for a in range(-max_index, max_index + 1)]
-    found, checked = fock._run_tasks(tasks, _intertwining_task, jobs)
-    return fock._report("fock-verma-intertwining", parameters, found, checked)
+    return run_sweep("fock-verma-intertwining", parameters, partial(_intertwining, alpha),
+                     index_grid(a=max_index), hw_vector(1, alpha * alpha / 2), max_level, jobs)

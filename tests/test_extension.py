@@ -92,6 +92,32 @@ class TestStructureConstants:
     def test_heisenberg_pass(self):
         assert ext.check_heisenberg_constants(4).status == "pass"
 
+    # Each defect below is in the extension the check brackets with; the
+    # closed forms are written out in the check, so it must see the defect.
+    @pytest.mark.parametrize("name,value,check,expected,actual", [
+        ("virasoro_cocycle", lambda m, n: Fraction(m**3 - m, 24) if m + n == 0 else 0,
+         ext.check_virasoro_constants, "-8·l(0) ⊕ -5·C", "-8·l(0) ⊕ -5/2·C"),
+        ("HEISENBERG", co.CocycleOracle(lambda k, l: Fraction(0), "zero"),
+         ext.check_heisenberg_constants, "0 ⊕ -4·C", "0 ⊕ 0·C"),
+    ], ids=["halved-virasoro", "zero-heisenberg"])
+    def test_wrong_cocycle_fails(self, monkeypatch, name, value, check, expected, actual):
+        monkeypatch.setattr(ext, name, value)
+        report = check(4)
+        assert report.status == "fail"
+        assert report.checked_count == 9
+        assert report.counterexample == {"indices": {"m": "-4", "n": "4"},
+                                         "expected": expected, "actual": actual}
+
+    def test_flipped_witt_bracket_fails(self, monkeypatch):
+        flipped = ext.BaseAlgebra("witt", lambda m, n: FreeVector.basis(m + n, n - m))
+        monkeypatch.setattr(ext, "WITT", flipped)
+        report = ext.check_virasoro_constants(4)
+        assert report.status == "fail"
+        assert report.checked_count == 2
+        assert report.counterexample == {"indices": {"m": "-4", "n": "-3"},
+                                         "expected": "-1·l(-7) ⊕ 0·C",
+                                         "actual": "1·l(-7) ⊕ 0·C"}
+
 
 class TestExtensionPredicate:
     def test_witt_virasoro_pass(self):

@@ -11,11 +11,13 @@ witness certifies (non)triviality.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import product
 from pathlib import Path
 from typing import Callable, Iterable, Mapping
 
-from .core import ONE, ZERO, FreeVector, ScalarFormatError, as_scalar, format_scalar, parse_scalar
-from .reports import VerificationReport, counterexample, failing, passing
+from .core import (ZERO, FreeVector, ScalarFormatError, as_scalar, format_scalar, parse_integer,
+                   parse_scalar)
+from .reports import VerificationReport, counterexample, first_counterexample, mismatch
 
 
 class TableFormatError(ValueError):
@@ -197,27 +199,25 @@ def check_cocycle_identity(omega: CocycleOracle, window: int) -> VerificationRep
             hit = cache[(a, b)] = omega(a, b)
         return hit
 
-    checked = 0
-    for n in indices:
-        for m in indices:
-            for k in indices:
-                checked += 1
-                defect = ZERO
-                w = value(n, m + k)
-                if w:
-                    defect = (m - k) * w
-                w = value(m, n + k)
-                if w:
-                    defect = defect + (k - n) * w
-                w = value(k, n + m)
-                if w:
-                    defect = defect + (n - m) * w
-                if defect:
-                    return failing(
-                        "cocycle-identity", parameters, checked,
-                        counterexample({"n": n, "m": m, "k": k},
-                                       expected="0", actual=format_scalar(defect)))
-    return passing("cocycle-identity", parameters, checked)
+    def outcomes():
+        for n in indices:
+            for m in indices:
+                for k in indices:
+                    defect = ZERO
+                    w = value(n, m + k)
+                    if w:
+                        defect = (m - k) * w
+                    w = value(m, n + k)
+                    if w:
+                        defect = defect + (k - n) * w
+                    w = value(k, n + m)
+                    if w:
+                        defect = defect + (n - m) * w
+                    yield (counterexample({"n": n, "m": m, "k": k},
+                                          expected="0", actual=format_scalar(defect))
+                           if defect else None)
+
+    return first_counterexample("cocycle-identity", parameters, outcomes())
 
 
 def reduce_cocycle(omega: CocycleOracle, window: int):
@@ -250,25 +250,10 @@ def reduce_cocycle(omega: CocycleOracle, window: int):
 
     parameters = {"window": str(window), "cocycle": omega.description, "r": format_scalar(r)}
     indices = range(-window, window + 1)
-    checked = 0
-    report = None
-    for m in indices:
-        for n in indices:
-            checked += 1
-            expected = r * virasoro_cocycle(m, n)
-            actual = corrected(m, n)
-            if actual != expected:
-                report = failing(
-                    "cocycle-reduction-residual", parameters, checked,
-                    counterexample({"m": m, "n": n},
-                                   expected=format_scalar(expected),
-                                   actual=format_scalar(actual)))
-                break
-        if report is not None:
-            break
-    if report is None:
-        report = passing("cocycle-reduction-residual", parameters,
-                         (2 * window + 1) ** 2)
+    report = first_counterexample(
+        "cocycle-reduction-residual", parameters,
+        (mismatch({"m": m, "n": n}, r * virasoro_cocycle(m, n), corrected(m, n), format_scalar)
+         for m, n in product(indices, repeat=2)))
     return beta, r, report
 
 
@@ -314,10 +299,9 @@ def _records(text: str):
 
 
 def _parse_index(token: str, lineno: int) -> int:
-    normalized = token.strip().replace("−", "-")
     try:
-        return int(normalized, base=10)
-    except ValueError:
+        return parse_integer(token)
+    except ScalarFormatError:
         raise TableFormatError(f"line {lineno}: invalid index {token!r}") from None
 
 

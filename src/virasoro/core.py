@@ -19,12 +19,29 @@ Scalar = Fraction
 ZERO = Fraction(0)
 ONE = Fraction(1)
 
-# "p/q" or "p", optional leading minus, nothing else.
-_SCALAR_RE = re.compile(r"-?\d+(/\d+)?")
+# ASCII digits only: \d and int() also read other scripts' digits, and int()
+# takes "+" and "_" too.  An integer has an optional leading minus; a scalar
+# is "p/q" or "p".
+_INTEGER = "-?[0-9]+"
+_INTEGER_RE = re.compile(_INTEGER)
+_SCALAR_RE = re.compile(f"{_INTEGER}(/[0-9]+)?")
 
 
 class ScalarFormatError(ValueError):
     """Raised for text that is not a valid exact rational."""
+
+
+def _normalized(text: str, pattern: re.Pattern, kind: str) -> str:
+    """text without surrounding whitespace and with U+2212 read as "-", if it matches."""
+    normalized = text.strip().replace("−", "-")
+    if not pattern.fullmatch(normalized):
+        raise ScalarFormatError(f"invalid {kind} {text!r}")
+    return normalized
+
+
+def parse_integer(text: str) -> int:
+    """Parse a decimal integer; a leading ASCII hyphen or U+2212 minus is accepted."""
+    return int(_normalized(text, _INTEGER_RE, "integer"))
 
 
 def parse_scalar(text: str) -> Fraction:
@@ -33,9 +50,7 @@ def parse_scalar(text: str) -> Fraction:
     A leading ASCII hyphen or Unicode minus (U+2212) is accepted; a zero
     denominator is rejected.
     """
-    normalized = text.strip().replace("−", "-")
-    if not _SCALAR_RE.fullmatch(normalized):
-        raise ScalarFormatError(f"invalid scalar {text!r}")
+    normalized = _normalized(text, _SCALAR_RE, "scalar")
     numerator, _, denominator = normalized.partition("/")
     if denominator:
         if int(denominator) == 0:

@@ -12,12 +12,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
+from itertools import chain, product
 from typing import Callable
 
 from . import witt
 from .cohomology import CocycleOracle, OneCochain, virasoro_cocycle
 from .core import ONE, ZERO, FreeVector, as_scalar, bilinear_extend, format_scalar
-from .reports import VerificationReport, counterexample, failing, passing
+from .reports import VerificationReport, first_counterexample, mismatch
 
 
 @dataclass(frozen=True)
@@ -130,30 +131,17 @@ def check_heisenberg_constants(max_index: int) -> VerificationReport:
 def _constants_check(check_name: str, bracket: Callable, closed_form: Callable,
                      max_index: int) -> VerificationReport:
     """The bracket of each pair of basis generators against its closed form."""
-    parameters = {"max_index": str(max_index)}
     indices = range(-max_index, max_index + 1)
     central = emb(ONE)
-    checked = 0
-    for m in indices:
-        for n in indices:
-            checked += 1
-            actual = bracket(_gen(m), _gen(n))
-            expected = closed_form(m, n)
-            if actual != expected:
-                return failing(check_name, parameters, checked,
-                               counterexample({"m": m, "n": n},
-                                              expected=format_element(expected),
-                                              actual=format_element(actual)))
-    for n in indices:
-        for left, right, label in ((central, _gen(n), "C"), (_gen(n), central, str(n))):
-            checked += 1
-            actual = bracket(left, right)
-            if not actual.is_zero():
-                return failing(check_name, parameters, checked,
-                               counterexample({"left": label, "n": n},
-                                              expected=format_element(ExtElement(FreeVector.zero(), ZERO)),
-                                              actual=format_element(actual)))
-    return passing(check_name, parameters, checked)
+    pairs = (mismatch({"m": m, "n": n}, closed_form(m, n), bracket(_gen(m), _gen(n)),
+                      format_element)
+             for m, n in product(indices, repeat=2))
+    with_center = (mismatch({"left": label, "n": n}, emb(ZERO), bracket(left, right),
+                            format_element)
+                   for n in indices
+                   for left, right, label in ((central, _gen(n), "C"), (_gen(n), central, str(n))))
+    return first_counterexample(check_name, {"max_index": str(max_index)},
+                                chain(pairs, with_center))
 
 
 def check_extension_predicate(base: BaseAlgebra, omega: CocycleOracle,
@@ -170,71 +158,42 @@ def check_extension_predicate(base: BaseAlgebra, omega: CocycleOracle,
     """
     parameters = {"max_index": str(max_index), "base": base.name,
                   "cocycle": omega.description}
-    central = emb(ONE)
+    central, zero = emb(ONE), emb(ZERO)
     labeled = [("C", central)] + [(str(n), _gen(n)) for n in range(-max_index, max_index + 1)]
-    checked = 0
 
     def bracket(u, v):
         return ext_bracket(base, omega, u, v)
 
-    def fail(leg, indices, expected, actual):
-        return failing("extension-predicate", parameters, checked,
-                       counterexample(indices, expected=expected, actual=actual, leg=leg))
+    def outcomes():
+        # (i) centrality
+        for label, u in labeled:
+            for left, right, side in ((central, u, "C"), (u, central, label)):
+                yield mismatch({"u": label, "left": side}, zero, bracket(left, right),
+                               format_element, leg="centrality")
 
-    # (i) centrality
-    for label, u in labeled:
-        for left, right, side in ((central, u, "C"), (u, central, label)):
-            checked += 1
-            value = bracket(left, right)
-            if not value.is_zero():
-                return fail("centrality", {"u": label, "left": side},
-                            expected="0 ⊕ 0·C", actual=format_element(value))
-
-    # (ii) bracket compatibility
-    for label, u in labeled:
-        checked += 1
-        value = bracket(u, u)
-        if not value.is_zero():
-            return fail("bracket", {"u": label}, expected="0 ⊕ 0·C",
-                        actual=format_element(value))
-    for label_u, u in labeled:
-        for label_v, v in labeled:
-            checked += 1
-            left = bracket(u, v)
-            right = bracket(v, u)
-            if left != -right:
-                return fail("bracket", {"u": label_u, "v": label_v},
-                            expected=format_element(-right), actual=format_element(left))
-            checked += 1
+        # (ii) bracket compatibility
+        for label, u in labeled:
+            yield mismatch({"u": label}, zero, bracket(u, u), format_element, leg="bracket")
+        for (label_u, u), (label_v, v) in product(labeled, repeat=2):
+            indices = {"u": label_u, "v": label_v}
+            yield mismatch(indices, -bracket(v, u), bracket(u, v), format_element, leg="bracket")
             shifted_u = ExtElement(u.body, u.center + ONE)
             shifted_v = ExtElement(v.body, v.center - ONE)
-            projected = proj(bracket(shifted_u, shifted_v))
-            base_value = bilinear_extend(base.bracket_pair, proj(u), proj(v),
-                                         FreeVector.zero())
-            if projected != base_value:
-                return fail("bracket", {"u": label_u, "v": label_v},
-                            expected=witt.format_vector(base_value),
-                            actual=witt.format_vector(projected))
-    for label_u, u in labeled:
-        for label_v, v in labeled:
-            for label_w, w in labeled:
-                checked += 1
-                defect = (bracket(u, bracket(v, w)) + bracket(v, bracket(w, u))
-                          + bracket(w, bracket(u, v)))
-                if not defect.is_zero():
-                    return fail("bracket", {"u": label_u, "v": label_v, "w": label_w},
-                                expected="0 ⊕ 0·C", actual=format_element(defect))
+            yield mismatch(indices,
+                           bilinear_extend(base.bracket_pair, proj(u), proj(v), FreeVector.zero()),
+                           proj(bracket(shifted_u, shifted_v)), witt.format_vector, leg="bracket")
+        for (label_u, u), (label_v, v), (label_w, w) in product(labeled, repeat=3):
+            defect = (bracket(u, bracket(v, w)) + bracket(v, bracket(w, u))
+                      + bracket(w, bracket(u, v)))
+            yield mismatch({"u": label_u, "v": label_v, "w": label_w}, zero, defect,
+                           format_element, leg="bracket")
 
-    # (iii) sections
-    for n in range(-max_index, max_index + 1):
-        checked += 1
-        x = FreeVector.basis(n)
-        if proj(std_section(x)) != x:
-            return fail("section", {"n": str(n)}, expected=witt.format_vector(x),
-                        actual=witt.format_vector(proj(std_section(x))))
-    checked += 1
-    if not proj(central).is_zero():
-        return fail("section", {"u": "C"}, expected="0",
-                    actual=witt.format_vector(proj(central)))
+        # (iii) sections
+        for n in range(-max_index, max_index + 1):
+            x = FreeVector.basis(n)
+            yield mismatch({"n": str(n)}, x, proj(std_section(x)), witt.format_vector,
+                           leg="section")
+        yield mismatch({"u": "C"}, FreeVector.zero(), proj(central), witt.format_vector,
+                       leg="section")
 
-    return passing("extension-predicate", parameters, checked)
+    return first_counterexample("extension-predicate", parameters, outcomes())

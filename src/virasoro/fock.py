@@ -15,7 +15,7 @@ from functools import lru_cache
 
 from .core import (ZERO, FreeVector, ModuleVector, Partition, as_scalar, format_scalar,
                    linear_extend, partitions_of_level, partitions_up_to)
-from .reports import VerificationReport, counterexample, failing, passing
+from .reports import VerificationReport, first_counterexample, mismatch
 from .sweeps import index_grid, run_sweep
 
 # partitions_of_level and partitions_up_to enumerate the basis; importable from here.
@@ -125,20 +125,16 @@ def sugawara_l(n: int, v: FockVector) -> FockVector:
 
 def weighted_sum_check(n: int) -> bool:
     """sum_{0 <= l < n} (n - l) l == (n^3 - n)/6, the scalar behind [L(n), L(-n)]."""
-    total = sum((n - l) * l for l in range(n))
-    return Fraction(total) == Fraction(n**3 - n, 6)
+    return _weighted_sum_defect(n) is None
+
+
+def _weighted_sum_defect(n: int) -> dict | None:
+    return mismatch({"n": n}, Fraction(n**3 - n, 6), sum((n - l) * l for l in range(n)))
 
 
 def check_weighted_sum(max_n: int) -> VerificationReport:
-    parameters = {"max_n": str(max_n)}
-    for n in range(max_n + 1):
-        if not weighted_sum_check(n):
-            actual = sum((n - l) * l for l in range(n))
-            return failing("weighted-sum-identity", parameters, n + 1,
-                           counterexample({"n": n},
-                                          expected=format_scalar(Fraction(n**3 - n, 6)),
-                                          actual=str(actual)))
-    return passing("weighted-sum-identity", parameters, max_n + 1)
+    return first_counterexample("weighted-sum-identity", {"max_n": str(max_n)},
+                                map(_weighted_sum_defect, range(max_n + 1)))
 
 
 # Sweeps: each identity maps indices and a basis vector to the two sides that must agree.

@@ -58,13 +58,25 @@ def _flatten(record: dict, prefix: str = ""):
             yield name, value
 
 
-def passing(check_name: str, parameters: dict, checked_count: int) -> VerificationReport:
-    return VerificationReport(check_name, parameters, PASS, checked_count)
+def first_counterexample(check_name: str, parameters: dict, outcomes) -> VerificationReport:
+    """The report of a sweep whose instances yield their outcomes in canonical order.
+
+    Each outcome is None for an instance that holds, or its counterexample
+    record.  Instances are counted up to the first counterexample, where the
+    sweep stops: outcomes is consumed lazily and never past that point.
+    """
+    checked = 0
+    for checked, found in enumerate(outcomes, start=1):
+        if found is not None:
+            return VerificationReport(check_name, parameters, FAIL, checked, found)
+    return VerificationReport(check_name, parameters, PASS, checked)
 
 
-def failing(check_name: str, parameters: dict, checked_count: int,
-            counterexample: dict) -> VerificationReport:
-    return VerificationReport(check_name, parameters, FAIL, checked_count, counterexample)
+def mismatch(indices: dict, expected, actual, render=str, **extra) -> dict | None:
+    """None when the two sides agree, else their counterexample record."""
+    if actual == expected:
+        return None
+    return counterexample(indices, expected=render(expected), actual=render(actual), **extra)
 
 
 def counterexample(indices: dict, expected: str, actual: str,

@@ -4,19 +4,22 @@ A sweep checks one identity on every basis vector of a module up to a level
 bound, for each index record of a window.  The identity is a function
 (indices..., v) -> (lhs, rhs) of one basis vector v; the first vector where
 the two sides differ, in canonical order (index records as listed, then
-partitions by level and lexicographically), is the counterexample.  Serial
-runs stop at the first failing record; parallel runs compute records
-independently and merge in canonical order, so reports are identical for any
-job count.
+partitions by level and lexicographically), is the counterexample.  Each
+record gets its own report; the sweep's report adds their counts up to the
+earliest failing record.  A serial run starts no record after that one, and
+a parallel run cancels the records no worker has taken yet.  Workers
+compute records independently, so reports are identical for any job count.
 """
 
 from __future__ import annotations
 
 import os
+from contextlib import closing
+from dataclasses import replace
 from itertools import product
 
 from .core import FreeVector, ModuleVector, partitions_up_to
-from .reports import VerificationReport, counterexample, failing, passing
+from .reports import VerificationReport, counterexample, first_counterexample
 
 
 def index_grid(**bounds) -> list[dict]:
@@ -34,17 +37,27 @@ def worker_count(jobs: int, task_count: int) -> int:
     return min(jobs, os.cpu_count() or 1, task_count)
 
 
-def _sweep_task(task):
-    identity, indices, unit, max_level = task
-    count = 0
-    for partition in partitions_up_to(max_level):
-        count += 1
-        v = unit.with_terms(FreeVector.basis(partition))
-        lhs, rhs = identity(**indices, v=v)
-        if lhs != rhs:
-            return counterexample(indices, expected=str(rhs), actual=str(lhs),
-                                  input_text=str(v)), count
-    return None, count
+def _outcome(identity, indices: dict, v: ModuleVector) -> dict | None:
+    lhs, rhs = identity(**indices, v=v)
+    if lhs == rhs:
+        return None
+    return counterexample(indices, expected=str(rhs), actual=str(lhs), input_text=str(v))
+
+
+def _sweep_task(task) -> VerificationReport:
+    check_name, parameters, identity, indices, unit, max_level = task
+    return first_counterexample(check_name, parameters, (
+        _outcome(identity, indices, unit.with_terms(FreeVector.basis(partition)))
+        for partition in partitions_up_to(max_level)))
+
+
+def _merge(report: VerificationReport, records) -> VerificationReport:
+    """Add the records' counts to report's, up to and including the first failing one."""
+    for record in records:
+        report = replace(record, checked_count=report.checked_count + record.checked_count)
+        if not record.passed():
+            break
+    return report
 
 
 def run_sweep(check_name: str, parameters: dict, identity, tasks: list[dict],
@@ -54,22 +67,13 @@ def run_sweep(check_name: str, parameters: dict, identity, tasks: list[dict],
     The basis vectors are those of unit's module up to max_level.  The
     identity must be picklable when more than one worker runs.
     """
-    work = [(identity, indices, unit, max_level) for indices in tasks]
+    work = [(check_name, parameters, identity, indices, unit, max_level) for indices in tasks]
+    empty = first_counterexample(check_name, parameters, ())
     workers = worker_count(jobs, len(work))
-    if workers > 1:
-        from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_sweep_task, work,
-                                    chunksize=max(1, len(work) // (workers * 4))))
-    else:
-        results = []
-        for task in work:
-            results.append(_sweep_task(task))
-            if results[-1][0] is not None:
-                break
-    checked = 0
-    for found, count in results:
-        checked += count
-        if found is not None:
-            return failing(check_name, parameters, checked, found)
-    return passing(check_name, parameters, checked)
+    if workers <= 1:
+        return _merge(empty, map(_sweep_task, work))
+    from concurrent.futures import ProcessPoolExecutor
+    # Closing the result iterator cancels the chunks that have not started.
+    with ProcessPoolExecutor(max_workers=workers) as pool, closing(pool.map(
+            _sweep_task, work, chunksize=max(1, len(work) // (workers * 4)))) as records:
+        return _merge(empty, records)

@@ -18,7 +18,7 @@ from functools import lru_cache, partial
 from . import fock
 from .core import ZERO, FreeVector, ModuleVector, as_scalar, format_scalar, linear_extend
 from .fock import Partition, as_partition
-from .reports import VerificationReport, counterexample, failing, passing
+from .reports import VerificationReport, first_counterexample, mismatch
 from .sweeps import index_grid, run_sweep
 
 
@@ -126,16 +126,9 @@ def verma_hw_check(c, h, max_index: int = 10) -> VerificationReport:
     v = hw_vector(c, h)
     cases = [("L(0)", l_action(0, v), h * v), ("C", c_action(v), c * v)]
     cases += [(f"L({n})", l_action(n, v), ZERO * v) for n in range(1, max_index + 1)]
-    checked = 0
-    for label, actual, expected in cases:
-        checked += 1
-        if actual != expected:
-            return failing("verma-highest-weight", parameters, checked,
-                           counterexample({"operator": label},
-                                          expected=format_vector(expected),
-                                          actual=format_vector(actual),
-                                          input_text=format_vector(v)))
-    return passing("verma-highest-weight", parameters, checked)
+    return first_counterexample("verma-highest-weight", parameters,
+                                (mismatch({"operator": label}, expected, actual, input_text=str(v))
+                                 for label, actual, expected in cases))
 
 
 def universal_map(alpha, v: VermaVector) -> fock.FockVector:

@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+from itertools import product
+
 from .core import FreeVector, bilinear_extend, cyclic_triple_sum
-from .reports import VerificationReport, counterexample, failing, passing
+from .reports import VerificationReport, first_counterexample, mismatch
 
 
 def basis(n: int) -> FreeVector:
@@ -39,17 +41,9 @@ def jacobi_basis_sweep(max_index: int) -> VerificationReport:
     Triples run in lexicographic order of (m, n, k); the first defect is
     reported.
     """
-    parameters = {"max_index": str(max_index)}
     indices = range(-max_index, max_index + 1)
-    checked = 0
-    for m in indices:
-        for n in indices:
-            for k in indices:
-                checked += 1
-                defect = jacobi_defect(basis(m), basis(n), basis(k))
-                if not defect.is_zero():
-                    return failing(
-                        "witt-jacobi", parameters, checked,
-                        counterexample({"m": m, "n": n, "k": k},
-                                       expected="0", actual=format_vector(defect)))
-    return passing("witt-jacobi", parameters, checked)
+    return first_counterexample(
+        "witt-jacobi", {"max_index": str(max_index)},
+        (mismatch({"m": m, "n": n, "k": k}, FreeVector.zero(),
+                  jacobi_defect(basis(m), basis(n), basis(k)), format_vector)
+         for m, n, k in product(indices, repeat=3)))

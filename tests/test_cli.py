@@ -138,6 +138,34 @@ class TestVerifyErrors:
         assert result.exit_code == 2
         assert result.output.startswith("INPUT_ERROR")
 
+    # fullwidth three and Arabic-Indic digits, which \d and int() both accept
+    @pytest.mark.parametrize("alpha", ["３", "١/٢"])
+    def test_scalar_flag_takes_ascii_digits_only(self, alpha):
+        result = invoke("verify", "heisenberg", "--max-index", "1", "--max-level", "1",
+                        "--alpha", alpha)
+        assert result.exit_code == 2
+        assert "invalid scalar" in result.output
+
+    @pytest.mark.parametrize("index", ["1_0", "+3", "٣"])
+    def test_table_index_takes_ascii_digits_only(self, tmp_path, index):
+        table = tmp_path / "table.tsv"
+        table.write_text(f"window\t12\n{index}\t11\t1\n", encoding="utf-8")
+        result = invoke("verify", "cocycle", "--input", str(table), "--window", "1")
+        assert result.exit_code == 2
+        assert "invalid index" in result.output
+
+    def test_unicode_minus_is_still_accepted(self, tmp_path):
+        result = invoke("verify", "heisenberg", "--max-index", "1", "--max-level", "1",
+                        "--alpha", "−3")
+        assert result.exit_code == 0
+        assert "alpha=-3" in result.output
+        table = tmp_path / "table.tsv"
+        table.write_text(co.dump_cocycle_table(co.tabulate(co.VIRASORO, 4)).replace("-", "−"),
+                         encoding="utf-8")
+        assert "−3\t3\t" in table.read_text(encoding="utf-8")
+        result = invoke("verify", "cocycle", "--input", str(table), "--window", "2")
+        assert result.exit_code == 0, result.output
+
 
 class TestEnvironment:
     def test_format_env_var(self):

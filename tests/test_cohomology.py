@@ -152,6 +152,17 @@ class TestReduce:
             for n in range(-6, 7):
                 assert beta.value(n) == -beta0.value(n)
 
+    def test_residual_fails_against_a_halved_cocycle(self, monkeypatch):
+        # r = 1 is read off the input; the residual then compares with half of it
+        original = co.virasoro_cocycle
+        monkeypatch.setattr(co, "virasoro_cocycle", lambda m, n: original(m, n) / 2)
+        beta, r, report = co.reduce_cocycle(co.VIRASORO, 4)
+        assert r == 1
+        assert report.to_text() == (
+            "FAIL cocycle-reduction-residual cocycle=virasoro r=1 window=4 checked_count=9 "
+            "counterexample.actual=-5 counterexample.expected=-5/2 "
+            "counterexample.indices.m=-4 counterexample.indices.n=4")
+
     def test_rejects_identity_violation(self):
         oracle = co.CocycleOracle.from_table(co.parse_cocycle_table(SIGN_TABLE))
         with pytest.raises(co.CocycleIdentityError, match="not a cocycle on the window"):

@@ -24,6 +24,7 @@ class TestParseScalar:
 
     @pytest.mark.parametrize("text", [
         "", " ", "1/0", "1.5", "1/2/3", "a", "+3", "1 /2", "2/-3", "1e3", "/2", "3/",
+        "３", "١/٢",
     ])
     def test_rejects(self, text):
         with pytest.raises(ScalarFormatError):

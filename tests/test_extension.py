@@ -136,6 +136,11 @@ class TestExtensionPredicate:
         report = ext.check_extension_predicate(broken, co.VIRASORO, 3)
         assert report.status == "fail"
         assert report.counterexample["leg"] == "bracket"
+        # 16 centrality and 8 alternating instances, then two per ordered pair
+        assert report.checked_count == 117
+        assert report.counterexample == {
+            "indices": {"u": "1", "v": "2"}, "leg": "bracket",
+            "expected": "-1·l(3) ⊕ 0·C", "actual": "5·l(3) ⊕ 0·C"}
 
     def test_non_cocycle_fails_jacobi_inside_bracket_leg(self):
         text = "window\t3\n-1\t1\t1\n-2\t2\t1\n-3\t3\t1\n"
@@ -145,6 +150,10 @@ class TestExtensionPredicate:
         assert report.counterexample["leg"] == "bracket"
         # centrality, the first leg, is untouched by the bad pairing
         assert "w" in report.counterexample["indices"]
+        assert report.checked_count == 263
+        assert report.counterexample == {
+            "indices": {"u": "-3", "v": "1", "w": "2"}, "leg": "bracket",
+            "expected": "0 ⊕ 0·C", "actual": "0 ⊕ -2·C"}
 
 
 class TestTwist:

@@ -130,6 +130,35 @@ def test_worker_count_is_clamped(monkeypatch):
     assert sweeps.worker_count(10**6, 169) == 1
 
 
+def test_parallel_sweep_stops_at_the_earliest_failing_record(j_defect, monkeypatch):
+    handed = []
+
+    class LazyExecutor:
+        """A pool that computes each record in this process when it is asked for."""
+
+        def __init__(self, max_workers):
+            pass
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc_info):
+            return False
+
+        def map(self, fn, work, chunksize=1):
+            for task in work:
+                handed.append(task)
+                yield fn(task)
+
+    serial = fock.check_heisenberg_relations(2, 3, A, jobs=1)
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", LazyExecutor)
+    assert fock.check_heisenberg_relations(2, 3, A, jobs=2) == serial
+    # the failing record (k, l) = (-2, 0) is the third of 25
+    assert serial.counterexample["indices"] == {"k": "-2", "l": "0"}
+    assert len(handed) == 3
+
+
 def test_one_task_sweep_starts_no_pool(monkeypatch):
     def no_pool(*args, **kwargs):
         raise AssertionError("a one-task sweep must run serially")

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from functools import lru_cache
 
 import pytest
 from hypothesis import given, settings
@@ -7,6 +8,7 @@ from hypothesis import strategies as st
 import oracles
 from conftest import partitions, scalars
 from virasoro import fock, verma
+from virasoro.core import FreeVector
 
 C = Fraction(1)
 H = Fraction(1, 8)
@@ -106,6 +108,22 @@ class TestRelations:
         report = verma.verma_hw_check(C, H)
         assert report.status == "pass"
         assert report.checked_count == 12
+
+    def test_highest_weight_fails_under_broken_action(self, monkeypatch):
+        original = verma._act_basis
+
+        @lru_cache(maxsize=None)
+        def broken(a, partition, c, h):
+            out = original(a, partition, c, h)
+            if a == 2 and partition == ():
+                return out + FreeVector.basis(())
+            return out
+
+        monkeypatch.setattr(verma, "_act_basis", broken)
+        assert verma.verma_hw_check(C, H).to_text() == (
+            "FAIL verma-highest-weight c=1 h=1/8 max_index=10 checked_count=4 "
+            "counterexample.actual='1·|c,h⟩' counterexample.expected=0 "
+            "counterexample.indices.operator='L(2)' counterexample.input='1·|c,h⟩'")
 
     def test_highest_weight_fixtures(self):
         for c, h in WEIGHT_FIXTURES:

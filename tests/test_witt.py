@@ -48,7 +48,7 @@ class TestJacobi:
         assert report.checked_count == 9 ** 3
         assert report.parameters == {"max_index": "4"}
 
-    def test_defect_is_reported_for_broken_bracket(self):
+    def test_defect_is_reported_for_broken_bracket(self, monkeypatch):
         # breaking antisymmetry by hand must produce a visible defect
         def broken(m, n):
             return FreeVector.basis(m + n, m + n)
@@ -58,6 +58,12 @@ class TestJacobi:
                                    FreeVector.basis(1), FreeVector.basis(2),
                                    FreeVector.basis(-1), FreeVector.zero())
         assert not defect.is_zero()
+        # and the sweep reports the first such triple: 3 * [[l(-2), l(-2)], l(-2)]
+        monkeypatch.setattr(witt, "bracket_pair", broken)
+        assert witt.jacobi_basis_sweep(2).to_text() == (
+            "FAIL witt-jacobi max_index=2 checked_count=1 counterexample.actual='72·l(-6)' "
+            "counterexample.expected=0 counterexample.indices.k=-2 "
+            "counterexample.indices.m=-2 counterexample.indices.n=-2")
 
 
 class TestFormat:

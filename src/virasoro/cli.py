@@ -73,10 +73,9 @@ def _load_oracle(fmt: str, check_name: str, use_virasoro: bool, input_path):
     if use_virasoro:
         return cohomology.VIRASORO
     try:
-        table = cohomology.load_cocycle_table(input_path)
+        return cohomology.load_cocycle_table(input_path)
     except (cohomology.TableFormatError, OSError) as exc:
         _input_error(fmt, check_name, str(exc))
-    return cohomology.CocycleOracle.from_table(table)
 
 
 @click.group()
@@ -169,10 +168,9 @@ def reduce(input_path, window, fmt):
     identity on the window is rejected with exit status 2.
     """
     try:
-        table = cohomology.load_cocycle_table(input_path)
+        oracle = cohomology.load_cocycle_table(input_path)
     except (cohomology.TableFormatError, OSError) as exc:
         _input_error(fmt, "cocycle-reduction", str(exc))
-    oracle = cohomology.CocycleOracle.from_table(table)
     try:
         beta, r, residual = cohomology.reduce_cocycle(oracle, window)
     except (cohomology.CocycleIdentityError, ValueError) as exc:

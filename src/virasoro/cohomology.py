@@ -95,48 +95,13 @@ class OneCochain:
         return f"OneCochain(window={self.window}, values={dict(self.items())!r})"
 
 
-class TwoCocycleTable:
-    """Antisymmetric table of basis-pair values, stored on ordered pairs m < n.
-
-    Lookups outside the declared window return 0.
-    """
-
-    __slots__ = ("window", "_entries")
-
-    def __init__(self, window: int, entries: Mapping | Iterable | None = None):
-        if window < 0:
-            raise ValueError("window must be nonnegative")
-        table: dict[tuple[int, int], Fraction] = {}
-        if entries is not None:
-            items = entries.items() if hasattr(entries, "items") else entries
-            for (m, n), raw in items:
-                if m >= n:
-                    raise ValueError(f"table keys must satisfy m < n, got ({m}, {n})")
-                if max(abs(m), abs(n)) > window:
-                    raise ValueError(f"entry ({m}, {n}) outside window {window}")
-                value = as_scalar(raw)
-                if value:
-                    table[(m, n)] = value
-        self.window = window
-        self._entries = table
-
-    def value(self, m: int, n: int) -> Fraction:
-        if m == n:
-            return ZERO
-        if m < n:
-            return self._entries.get((m, n), ZERO)
-        return -self._entries.get((n, m), ZERO)
-
-    def items(self) -> list[tuple[tuple[int, int], Fraction]]:
-        return sorted(self._entries.items())
-
-
 class CocycleOracle:
     """Total antisymmetric basis-pair function (m, n) -> scalar.
 
     The wrapped rule is only consulted on ordered pairs m < n, which makes
-    antisymmetry structural regardless of the rule.  Oracles combine
-    linearly, so r * VIRASORO + coboundary(beta) is again an oracle.
+    antisymmetry structural regardless of the rule; a table read from a file
+    is the rule that looks its pairs up and reads 0 off the table.  Oracles
+    combine linearly, so r * VIRASORO + coboundary(beta) is again an oracle.
     """
 
     __slots__ = ("_rule", "description")
@@ -160,10 +125,6 @@ class CocycleOracle:
         scalar = as_scalar(scalar)
         return CocycleOracle(lambda m, n: scalar * self(m, n),
                              f"{scalar}*{self.description}")
-
-    @classmethod
-    def from_table(cls, table: TwoCocycleTable) -> "CocycleOracle":
-        return cls(table.value, f"table(window={table.window})")
 
 
 def virasoro_cocycle(m: int, n: int) -> Fraction:
@@ -274,17 +235,6 @@ def nontriviality_witness(omega: CocycleOracle, window: int):
     return None
 
 
-def tabulate(omega: CocycleOracle, window: int) -> TwoCocycleTable:
-    """Record an oracle's values on every ordered pair of the window."""
-    entries = {}
-    for m in range(-window, window + 1):
-        for n in range(m + 1, window + 1):
-            value = omega(m, n)
-            if value:
-                entries[(m, n)] = value
-    return TwoCocycleTable(window, entries)
-
-
 # ---------------------------------------------------------------------------
 # File formats.  Both are tab-separated with full-line comments introduced by
 # "#" and a mandatory first record "window<TAB>W"; cocycle tables then carry
@@ -325,7 +275,7 @@ def _parse_header(records) -> tuple[int, object]:
     return window, records
 
 
-def parse_cocycle_table(text: str) -> TwoCocycleTable:
+def parse_cocycle_table(text: str) -> CocycleOracle:
     window, records = _parse_header(_records(text))
     entries: dict[tuple[int, int], Fraction] = {}
     for lineno, fields in records:
@@ -341,17 +291,21 @@ def parse_cocycle_table(text: str) -> TwoCocycleTable:
         if (m, n) in entries:
             raise TableFormatError(f"line {lineno}: duplicate pair ({m}, {n})")
         entries[(m, n)] = value
-    return TwoCocycleTable(window, entries)
+    return CocycleOracle(lambda m, n: entries.get((m, n), ZERO), f"table(window={window})")
 
 
-def load_cocycle_table(path) -> TwoCocycleTable:
+def load_cocycle_table(path) -> CocycleOracle:
     return parse_cocycle_table(Path(path).read_text(encoding="utf-8"))
 
 
-def dump_cocycle_table(table: TwoCocycleTable) -> str:
-    lines = [f"window\t{table.window}"]
-    for (m, n), value in table.items():
-        lines.append(f"{m}\t{n}\t{format_scalar(value)}")
+def dump_cocycle_table(omega: CocycleOracle, window: int) -> str:
+    """The table of omega's nonzero values on the ordered pairs m < n of the window."""
+    lines = [f"window\t{window}"]
+    for m in range(-window, window + 1):
+        for n in range(m + 1, window + 1):
+            value = omega(m, n)
+            if value:
+                lines.append(f"{m}\t{n}\t{format_scalar(value)}")
     return "\n".join(lines) + "\n"
 
 
@@ -369,10 +323,6 @@ def parse_one_cochain(text: str) -> OneCochain:
             raise TableFormatError(f"line {lineno}: duplicate index {n}")
         values[n] = value
     return OneCochain(window, values)
-
-
-def load_one_cochain(path) -> OneCochain:
-    return parse_one_cochain(Path(path).read_text(encoding="utf-8"))
 
 
 def dump_one_cochain(beta: OneCochain) -> str:

@@ -77,11 +77,14 @@ class FreeVector:
     """Finitely supported map from basis indices to scalars.
 
     Any hashable, sortable index type works: integers for the Witt basis,
-    integer tuples for partition-indexed modules.  Instances are treated as
-    immutable; every operation returns a new vector.
+    integer tuples for partition-indexed modules.  `module` holds the exact
+    parameters of the module the vector lies in, empty for a plain vector;
+    every operation returns a vector of its operand's class and module, and
+    vectors combine only within one class and module.  Instances are treated
+    as immutable; every operation returns a new vector.
     """
 
-    __slots__ = ("_coeffs",)
+    __slots__ = ("_coeffs", "module")
 
     def __init__(self, coeffs: Mapping | Iterable | None = None):
         table: dict = {}
@@ -97,11 +100,13 @@ class FreeVector:
                 else:
                     del table[index]
         self._coeffs = table
+        self.module = ()
 
     @classmethod
-    def _wrap(cls, table: dict) -> "FreeVector":
+    def _wrap(cls, table: dict, module: tuple = ()) -> "FreeVector":
         vector = cls.__new__(cls)
         vector._coeffs = table
+        vector.module = module
         return vector
 
     @classmethod
@@ -109,13 +114,13 @@ class FreeVector:
         return cls._wrap({})
 
     @classmethod
-    def basis(cls, index, coeff=ONE) -> "FreeVector":
+    def basis(cls, index, coeff=ONE, module: tuple = ()) -> "FreeVector":
         coeff = as_scalar(coeff)
-        return cls._wrap({index: coeff} if coeff else {})
+        return cls._wrap({index: coeff} if coeff else {}, module)
 
     @classmethod
-    def linear_combination(cls, pairs: Iterable[tuple]) -> "FreeVector":
-        """Sum of coeff * vector over (coeff, FreeVector) pairs."""
+    def linear_combination(cls, pairs: Iterable[tuple], module: tuple = ()) -> "FreeVector":
+        """Sum of coeff * vector over (coeff, FreeVector) pairs, in the given module."""
         table: dict = {}
         for coeff, vector in pairs:
             if not coeff:
@@ -126,7 +131,7 @@ class FreeVector:
                     table[index] = total
                 else:
                     del table[index]
-        return cls._wrap(table)
+        return cls._wrap(table, module)
 
     def coeff(self, index) -> Fraction:
         return self._coeffs.get(index, ZERO)
@@ -144,8 +149,11 @@ class FreeVector:
         return bool(self._coeffs)
 
     def __add__(self, other):
-        if not isinstance(other, FreeVector):
+        if type(other) is not type(self):
             return NotImplemented
+        if self.module != other.module:
+            shown = ["(" + ", ".join(map(str, v.module)) + ")" for v in (self, other)]
+            raise ValueError(f"cannot combine vectors of {self.noun} {shown[0]} and {shown[1]}")
         table = dict(self._coeffs)
         for index, value in other._coeffs.items():
             total = table.get(index, ZERO) + value
@@ -153,40 +161,39 @@ class FreeVector:
                 table[index] = total
             else:
                 del table[index]
-        return FreeVector._wrap(table)
+        return self._wrap(table, self.module)
 
     def __sub__(self, other):
-        if not isinstance(other, FreeVector):
-            return NotImplemented
-        return self + (-other)
+        return self + (-other) if type(other) is type(self) else NotImplemented
 
     def __neg__(self):
-        return FreeVector._wrap({index: -value for index, value in self._coeffs.items()})
+        return self._wrap({index: -value for index, value in self._coeffs.items()}, self.module)
 
     def __mul__(self, scalar):
         if not isinstance(scalar, (int, Fraction)):
             return NotImplemented
         scalar = as_scalar(scalar)
         if not scalar:
-            return FreeVector.zero()
-        return FreeVector._wrap({index: scalar * value for index, value in self._coeffs.items()})
+            return self._wrap({}, self.module)
+        return self._wrap({index: scalar * value for index, value in self._coeffs.items()},
+                          self.module)
 
     __rmul__ = __mul__
 
     def __eq__(self, other):
-        if not isinstance(other, FreeVector):
+        if type(other) is not type(self):
             return NotImplemented
-        return self._coeffs == other._coeffs
+        return self.module == other.module and self._coeffs == other._coeffs
 
     def __repr__(self):
-        return f"FreeVector({dict(self.items())!r})"
+        arguments = self.module + (dict(self.items()),)
+        return f"{type(self).__name__}({', '.join(map(repr, arguments))})"
 
 
 def linear_extend(basis_map: Callable, vector: FreeVector) -> FreeVector:
-    """Apply a basis-indexed map index -> FreeVector linearly."""
-    return FreeVector.linear_combination(
-        (coeff, basis_map(index)) for index, coeff in vector._coeffs.items()
-    )
+    """Apply a basis-indexed map index -> FreeVector linearly, within vector's module."""
+    return type(vector).linear_combination(
+        ((coeff, basis_map(index)) for index, coeff in vector._coeffs.items()), vector.module)
 
 
 def bilinear_extend(pair_map: Callable, left: FreeVector, right: FreeVector, zero):
@@ -200,22 +207,6 @@ def bilinear_extend(pair_map: Callable, left: FreeVector, right: FreeVector, zer
         for j, b in right._coeffs.items():
             acc = acc + (a * b) * pair_map(i, j)
     return acc
-
-
-def cyclic_triple_sum(mu: Callable, nu: Callable, x: FreeVector, y: FreeVector,
-                      z: FreeVector, zero):
-    """mu(X, nu(Y,Z)) + mu(Y, nu(Z,X)) + mu(Z, nu(X,Y)).
-
-    mu and nu are basis-pair maps, extended bilinearly.  With both equal to a
-    bracket this is the Jacobi defect; with mu a scalar-valued 2-cochain and
-    nu a bracket it is the cocycle-identity defect.  zero fixes mu's target.
-    """
-    def nu_vec(a, b):
-        return bilinear_extend(nu, a, b, FreeVector.zero())
-
-    return (bilinear_extend(mu, x, nu_vec(y, z), zero)
-            + bilinear_extend(mu, y, nu_vec(z, x), zero)
-            + bilinear_extend(mu, z, nu_vec(x, y), zero))
 
 
 Partition = tuple[int, ...]
@@ -242,19 +233,18 @@ def partitions_up_to(max_level: int) -> tuple[Partition, ...]:
     return tuple(out)
 
 
-class ModuleVector:
+class ModuleVector(FreeVector):
     """Element of a partition-graded module fixed by exact parameters.
 
-    The terms map partitions to scalars: (p_m >= ... >= p_1) stands for
-    X(-p_m)...X(-p_1) applied to the generating vector, X being the
+    The coefficients map partitions to scalars: (p_m >= ... >= p_1) stands
+    for X(-p_m)...X(-p_1) applied to the generating vector, X being the
     generator letter.  A subclass declares `parameters`, the names of the
     values its constructor takes before the terms (each readable as an
     attribute); `noun`, what those values are called when two vectors
-    disagree on them; and the `letter` and `ket` it renders with.  Vectors
-    combine only within one module.  Instances are treated as immutable.
+    disagree on them; and the `letter` and `ket` it renders with.
     """
 
-    __slots__ = ("module", "terms")
+    __slots__ = ()
     parameters: tuple[str, ...] = ()
     noun = letter = ket = ""
 
@@ -266,56 +256,15 @@ class ModuleVector:
         *module, terms = values
         if len(module) != len(self.parameters):
             raise TypeError(f"{type(self).__name__} takes {self.parameters} and the terms")
+        super().__init__(terms)
         self.module = tuple(map(as_scalar, module))
-        self.terms = terms
-
-    def with_terms(self, terms: FreeVector) -> "ModuleVector":
-        """The vector of the same module with the given terms."""
-        vector = object.__new__(type(self))  # the parameters are already exact
-        vector.module, vector.terms = self.module, terms
-        return vector
-
-    def is_zero(self) -> bool:
-        return self.terms.is_zero()
-
-    def coeff(self, partition: Partition) -> Fraction:
-        return self.terms.coeff(partition)
-
-    def __add__(self, other):
-        if type(other) is not type(self):
-            return NotImplemented
-        if self.module != other.module:
-            shown = ["(" + ", ".join(map(str, v.module)) + ")" for v in (self, other)]
-            raise ValueError(f"cannot combine vectors of {self.noun} {shown[0]} and {shown[1]}")
-        return self.with_terms(self.terms + other.terms)
-
-    def __sub__(self, other):
-        return self + (-other) if type(other) is type(self) else NotImplemented
-
-    def __neg__(self):
-        return self.with_terms(-self.terms)
-
-    def __mul__(self, scalar):
-        if not isinstance(scalar, (int, Fraction)):
-            return NotImplemented
-        return self.with_terms(scalar * self.terms)
-
-    __rmul__ = __mul__
-
-    def __eq__(self, other):
-        if type(other) is not type(self):
-            return NotImplemented
-        return self.module == other.module and self.terms == other.terms
 
     def __str__(self):
         if self.is_zero():
             return "0"
         rendered = []
-        for partition, coeff in sorted(self.terms.items(),
+        for partition, coeff in sorted(self._coeffs.items(),
                                        key=lambda item: (sum(item[0]), item[0])):
             word = "".join(f"{self.letter}(-{part})" for part in partition)
             rendered.append(f"{format_scalar(coeff)}·{word}{self.ket}")
         return " + ".join(rendered)
-
-    def __repr__(self):
-        return f"{type(self).__name__}{self.module + (self.terms,)!r}"

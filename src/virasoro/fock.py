@@ -51,11 +51,11 @@ class FockVector(ModuleVector):
 
 
 def vacuum(alpha) -> FockVector:
-    return FockVector(alpha, FreeVector.basis(()))
+    return FockVector.basis((), module=(as_scalar(alpha),))
 
 
 def basis(alpha, partition) -> FockVector:
-    return FockVector(alpha, FreeVector.basis(as_partition(partition)))
+    return FockVector.basis(as_partition(partition), module=(as_scalar(alpha),))
 
 
 format_vector = FockVector.__str__
@@ -80,13 +80,13 @@ def j_action(k: int, v: FockVector) -> FockVector:
     copy of k weighted by k times its multiplicity (zero if k is not a part).
     """
     alpha = v.alpha
-    return v.with_terms(linear_extend(lambda p: _j_basis(k, p, alpha), v.terms))
+    return linear_extend(lambda p: _j_basis(k, p, alpha), v)
 
 
 def truncation_bound(v: FockVector) -> int:
     """Least N >= 1 with J(l) v = 0 for every l >= N: one past the largest part."""
     best = 0
-    for partition in v.terms.support():
+    for partition in v.support():
         if partition and partition[0] > best:
             best = partition[0]
     return best + 1
@@ -106,10 +106,10 @@ def normal_pair(k: int, l: int, v: FockVector) -> FockVector:
 @lru_cache(maxsize=None)
 def _sugawara_basis(n: int, partition: Partition, alpha: Fraction) -> FreeVector:
     bound = partition[0] + 1 if partition else 1
-    unit = FockVector(alpha, FreeVector.basis(partition))
+    unit = FockVector.basis(partition, module=(alpha,))
     pieces = []
     for k in range(n - bound + 1, bound):
-        pieces.append((_HALF, normal_pair(n - k, k, unit).terms))
+        pieces.append((_HALF, normal_pair(n - k, k, unit)))
     return FreeVector.linear_combination(pieces)
 
 
@@ -120,7 +120,7 @@ def sugawara_l(n: int, v: FockVector) -> FockVector:
     bound, so the sum is finite; every omitted term vanishes on v.
     """
     alpha = v.alpha
-    return v.with_terms(linear_extend(lambda p: _sugawara_basis(n, p, alpha), v.terms))
+    return linear_extend(lambda p: _sugawara_basis(n, p, alpha), v)
 
 
 def weighted_sum_check(n: int) -> bool:

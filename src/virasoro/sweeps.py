@@ -18,7 +18,7 @@ from contextlib import closing
 from dataclasses import replace
 from itertools import product
 
-from .core import FreeVector, ModuleVector, partitions_up_to
+from .core import ModuleVector, partitions_up_to
 from .reports import VerificationReport, counterexample, first_counterexample
 
 
@@ -29,12 +29,18 @@ def index_grid(**bounds) -> list[dict]:
 
 
 def worker_count(jobs: int, task_count: int) -> int:
-    """Worker processes for a sweep: at most the request, the CPUs and the tasks.
+    """Worker processes for a sweep: at most the request, the usable CPUs and the tasks.
 
     A process pool starts all of its workers at the first submission, so an
-    unclamped request would start that many processes.
+    unclamped request would start that many processes.  The usable CPUs are
+    those this process may run on, which an affinity mask can make fewer
+    than the machine has.
     """
-    return min(jobs, os.cpu_count() or 1, task_count)
+    if hasattr(os, "sched_getaffinity"):
+        cpus = len(os.sched_getaffinity(0))
+    else:
+        cpus = os.cpu_count() or 1
+    return min(jobs, cpus, task_count)
 
 
 def _outcome(identity, indices: dict, v: ModuleVector) -> dict | None:
@@ -47,7 +53,7 @@ def _outcome(identity, indices: dict, v: ModuleVector) -> dict | None:
 def _sweep_task(task) -> VerificationReport:
     check_name, parameters, identity, indices, unit, max_level = task
     return first_counterexample(check_name, parameters, (
-        _outcome(identity, indices, unit.with_terms(FreeVector.basis(partition)))
+        _outcome(identity, indices, type(unit).basis(partition, module=unit.module))
         for partition in partitions_up_to(max_level)))
 
 

@@ -29,11 +29,11 @@ class VermaVector(ModuleVector):
 
 
 def hw_vector(c, h) -> VermaVector:
-    return VermaVector(c, h, FreeVector.basis(()))
+    return VermaVector.basis((), module=(as_scalar(c), as_scalar(h)))
 
 
 def basis(c, h, partition) -> VermaVector:
-    return VermaVector(c, h, FreeVector.basis(as_partition(partition)))
+    return VermaVector.basis(as_partition(partition), module=(as_scalar(c), as_scalar(h)))
 
 
 format_vector = VermaVector.__str__
@@ -72,7 +72,7 @@ def _act_basis(a: int, partition: Partition, c: Fraction, h: Fraction) -> FreeVe
 
 def l_action(a: int, v: VermaVector) -> VermaVector:
     c, h = v.module
-    return v.with_terms(linear_extend(lambda p: _act_basis(a, p, c, h), v.terms))
+    return linear_extend(lambda p: _act_basis(a, p, c, h), v)
 
 
 def c_action(v: VermaVector) -> VermaVector:
@@ -149,9 +149,10 @@ def universal_map(alpha, v: VermaVector) -> fock.FockVector:
         vector = fock.vacuum(alpha)
         for part in reversed(partition):
             vector = fock.sugawara_l(-part, vector)
-        return vector.terms
+        return vector
 
-    return fock.FockVector(alpha, linear_extend(image, v.terms))
+    return fock.FockVector.linear_combination(
+        ((coeff, image(partition)) for partition, coeff in v.items()), (alpha,))
 
 
 def _intertwining(alpha, a, v):

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from itertools import product
 
-from .core import FreeVector, bilinear_extend, cyclic_triple_sum
+from .core import FreeVector, bilinear_extend
 from .reports import VerificationReport, first_counterexample, mismatch
 
 
@@ -22,7 +22,7 @@ def bracket(x: FreeVector, y: FreeVector) -> FreeVector:
 
 
 def jacobi_defect(x: FreeVector, y: FreeVector, z: FreeVector) -> FreeVector:
-    return cyclic_triple_sum(bracket_pair, bracket_pair, x, y, z, FreeVector.zero())
+    return bracket(x, bracket(y, z)) + bracket(y, bracket(z, x)) + bracket(z, bracket(x, y))
 
 
 def check_jacobi(x: FreeVector, y: FreeVector, z: FreeVector) -> bool:

@@ -160,7 +160,7 @@ class TestVerifyErrors:
         assert result.exit_code == 0
         assert "alpha=-3" in result.output
         table = tmp_path / "table.tsv"
-        table.write_text(co.dump_cocycle_table(co.tabulate(co.VIRASORO, 4)).replace("-", "−"),
+        table.write_text(co.dump_cocycle_table(co.VIRASORO, 4).replace("-", "−"),
                          encoding="utf-8")
         assert "−3\t3\t" in table.read_text(encoding="utf-8")
         result = invoke("verify", "cocycle", "--input", str(table), "--window", "2")
@@ -206,7 +206,7 @@ class TestReduce:
         beta0 = co.OneCochain(6, {0: Fraction(1, 2), 3: Fraction(-2), -5: Fraction(1, 3)})
         omega = Fraction(3, 4) * co.VIRASORO + co.coboundary(beta0)
         path = tmp_path / "shifted.tsv"
-        path.write_text(co.dump_cocycle_table(co.tabulate(omega, 16)), encoding="utf-8")
+        path.write_text(co.dump_cocycle_table(omega, 16), encoding="utf-8")
         result = invoke("reduce", "--input", str(path), "--window", "6", "--format", "json")
         assert result.exit_code == 0
         head, residual = json_lines(result)
@@ -246,7 +246,7 @@ class TestNontrivial:
     def test_coboundary_has_none(self, tmp_path):
         beta = co.OneCochain(4, {0: Fraction(2), 1: Fraction(-1)})
         path = tmp_path / "coboundary.tsv"
-        path.write_text(co.dump_cocycle_table(co.tabulate(co.coboundary(beta), 8)),
+        path.write_text(co.dump_cocycle_table(co.coboundary(beta), 8),
                         encoding="utf-8")
         result = invoke("nontrivial", "--input", str(path), "--window", "4",
                         "--format", "json")

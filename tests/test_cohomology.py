@@ -59,8 +59,7 @@ class TestCocycleOracle:
         assert combined.description == "(3*virasoro + virasoro)"
 
     def test_from_table_matches_and_describes(self):
-        table = co.tabulate(co.VIRASORO, 5)
-        oracle = co.CocycleOracle.from_table(table)
+        oracle = co.parse_cocycle_table(co.dump_cocycle_table(co.VIRASORO, 5))
         assert oracle.description == "table(window=5)"
         for m in range(-5, 6):
             for n in range(-5, 6):
@@ -96,7 +95,7 @@ SIGN_TABLE = "window\t3\n-1\t1\t1\n-2\t2\t1\n-3\t3\t1\n"
 
 class TestIdentityFailure:
     def test_sign_table_fails_with_known_defect(self):
-        oracle = co.CocycleOracle.from_table(co.parse_cocycle_table(SIGN_TABLE))
+        oracle = co.parse_cocycle_table(SIGN_TABLE)
         report = co.check_cocycle_identity(oracle, 3)
         assert report.status == "fail"
         assert report.counterexample == {
@@ -144,8 +143,7 @@ class TestReduce:
             omega = r0 * co.VIRASORO + co.coboundary(beta0)
             # cochain support reaches index 6, so pairs of the window-6 sweep
             # see the coboundary only if the table extends to twice the window
-            text = co.dump_cocycle_table(co.tabulate(omega, 16))
-            restored = co.CocycleOracle.from_table(co.parse_cocycle_table(text))
+            restored = co.parse_cocycle_table(co.dump_cocycle_table(omega, 16))
             beta, r, report = co.reduce_cocycle(restored, 6)
             assert r == r0
             assert report.status == "pass"
@@ -164,7 +162,7 @@ class TestReduce:
             "counterexample.indices.m=-4 counterexample.indices.n=4")
 
     def test_rejects_identity_violation(self):
-        oracle = co.CocycleOracle.from_table(co.parse_cocycle_table(SIGN_TABLE))
+        oracle = co.parse_cocycle_table(SIGN_TABLE)
         with pytest.raises(co.CocycleIdentityError, match="not a cocycle on the window"):
             co.reduce_cocycle(oracle, 3)
         try:
@@ -225,28 +223,20 @@ class TestOneCochain:
 
 class TestTwoCocycleTable:
     def test_antisymmetric_lookup(self):
-        table = co.TwoCocycleTable(3, {(1, 2): Fraction(5)})
-        assert table.value(1, 2) == 5
-        assert table.value(2, 1) == -5
-        assert table.value(2, 2) == 0
-        assert table.value(1, 3) == 0
-
-    def test_key_order_enforced(self):
-        with pytest.raises(ValueError, match="m < n"):
-            co.TwoCocycleTable(3, {(2, 1): Fraction(5)})
-
-    def test_window_enforced(self):
-        with pytest.raises(ValueError, match="outside window"):
-            co.TwoCocycleTable(3, {(1, 4): Fraction(5)})
+        table = co.parse_cocycle_table("window\t3\n1\t2\t5\n")
+        assert table(1, 2) == 5
+        assert table(2, 1) == -5
+        assert table(2, 2) == 0
+        assert table(1, 3) == 0
+        assert table(4, -4) == 0  # off the table, outside the window
 
 
 class TestFileFormats:
     def test_cocycle_table_round_trip(self):
-        table = co.tabulate(co.VIRASORO, 6)
-        text = co.dump_cocycle_table(table)
+        text = co.dump_cocycle_table(co.VIRASORO, 6)
         parsed = co.parse_cocycle_table(text)
-        assert parsed.window == 6
-        assert parsed.items() == table.items()
+        assert parsed.description == "table(window=6)"
+        assert co.dump_cocycle_table(parsed, 6) == text
 
     def test_cochain_round_trip(self):
         beta = co.OneCochain(4, {0: Fraction(1, 2), -3: Fraction(-2)})
@@ -256,7 +246,7 @@ class TestFileFormats:
     def test_comments_blank_lines_and_unicode_minus(self):
         text = "# cocycle sample\nwindow\t4\n\n−2\t2\t−1/2\n# trailing comment\n"
         table = co.parse_cocycle_table(text)
-        assert table.value(-2, 2) == Fraction(-1, 2)
+        assert table(-2, 2) == Fraction(-1, 2)
 
     @pytest.mark.parametrize("text,message", [
         ("", "missing header"),
@@ -293,8 +283,9 @@ class TestFileFormats:
             co.parse_one_cochain(text)
 
     def test_tabulate_skips_zeros_and_stays_ordered(self):
-        table = co.tabulate(co.VIRASORO, 4)
-        keys = [key for key, _ in table.items()]
+        records = co.dump_cocycle_table(co.VIRASORO, 4).splitlines()
+        assert records[0] == "window\t4"
+        keys = [tuple(map(int, record.split("\t")[:2])) for record in records[1:]]
         assert keys == sorted(keys)
         assert all(m < n for m, n in keys)
-        assert ((-1, 1)) not in dict(table.items())  # value 0 at n = 1
+        assert keys == [(-4, 4), (-3, 3), (-2, 2)]  # value 0 at n = 1 is skipped

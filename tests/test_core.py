@@ -1,3 +1,4 @@
+import pickle
 from fractions import Fraction
 
 import pytest
@@ -5,8 +6,11 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from conftest import free_vectors, scalars
+from virasoro import fock, verma
 from virasoro.core import (FreeVector, ScalarFormatError, as_scalar, bilinear_extend,
-                           cyclic_triple_sum, format_scalar, linear_extend, parse_scalar)
+                           format_scalar, linear_extend, parse_scalar)
+
+ALPHA, C, H = Fraction(1, 2), Fraction(7, 3), Fraction(-1, 5)
 
 
 class TestParseScalar:
@@ -108,6 +112,67 @@ class TestFreeVector:
     def test_scalar_action_associates(self, u, a, b):
         assert a * (b * u) == (a * b) * u
 
+    def test_repr(self):
+        assert repr(FreeVector({2: 1, 1: Fraction(1, 2)})) == (
+            "FreeVector({1: Fraction(1, 2), 2: Fraction(1, 1)})")
+
+
+MODULE_VECTORS = [fock.basis(ALPHA, (2, 1)), verma.basis(C, H, (2, 1))]
+
+
+class TestModuleVector:
+    """Fock and Verma vectors are FreeVectors that keep their class and module."""
+
+    def test_other_classes_do_not_combine(self):
+        with pytest.raises(TypeError):
+            fock.vacuum(ALPHA) + FreeVector.basis(())  # noqa: B018
+        with pytest.raises(TypeError):
+            FreeVector.basis(()) + fock.vacuum(ALPHA)  # noqa: B018
+        with pytest.raises(TypeError):
+            verma.hw_vector(C, H) - fock.vacuum(ALPHA)  # noqa: B018
+        with pytest.raises(TypeError):
+            verma.hw_vector(C, H) + fock.vacuum(ALPHA)  # noqa: B018
+        assert fock.vacuum(ALPHA) != FreeVector.basis(())
+
+    def test_other_modules_do_not_combine(self):
+        with pytest.raises(ValueError, match=r"vectors of charge \(1/2\) and \(3\)"):
+            fock.vacuum(ALPHA) + fock.vacuum(3)  # noqa: B018
+        with pytest.raises(ValueError, match=r"cannot combine vectors of weight \(7/3, -1/5\)"):
+            verma.hw_vector(C, H) - verma.hw_vector(C, 0)  # noqa: B018
+        assert fock.vacuum(ALPHA) != fock.vacuum(3)
+
+    @pytest.mark.parametrize("v", MODULE_VECTORS, ids=["fock", "verma"])
+    def test_operations_keep_class_and_module(self, v):
+        for result in (0 * v, v * 0, -v, v - v, v + v, Fraction(2, 3) * v):
+            assert type(result) is type(v)
+            assert result.module == v.module
+        assert (v - v).is_zero()
+        assert str(0 * v) == "0"
+
+    def test_operators_keep_the_module(self):
+        current = fock.j_action(-1, fock.basis(ALPHA, (2,)))
+        assert type(current) is fock.FockVector
+        assert current.alpha == ALPHA
+        assert type(fock.sugawara_l(-1, current)) is fock.FockVector
+        lowered = verma.l_action(-1, verma.basis(C, H, (2,)))
+        assert type(lowered) is verma.VermaVector
+        assert (lowered.c, lowered.h) == (C, H)
+        image = verma.universal_map(ALPHA, verma.hw_vector(1, ALPHA * ALPHA / 2))
+        assert image == fock.vacuum(ALPHA)
+
+    @pytest.mark.parametrize("v", MODULE_VECTORS, ids=["fock", "verma"])
+    def test_pickle_round_trip(self, v):
+        restored = pickle.loads(pickle.dumps(v))
+        assert type(restored) is type(v)
+        assert restored == v
+        assert restored.module == v.module
+
+    def test_repr(self):
+        assert repr(fock.basis(ALPHA, (1,))) == (
+            "FockVector(Fraction(1, 2), {(1,): Fraction(1, 1)})")
+        v = verma.basis(C, H, (2, 1))
+        assert eval(repr(v), {"VermaVector": verma.VermaVector, "Fraction": Fraction}) == v
+
 
 class TestExtensions:
     def test_linear_extend(self):
@@ -131,22 +196,3 @@ class TestExtensions:
                 == bilinear_extend(pair, u, w, zero) + a * bilinear_extend(pair, v, w, zero))
         assert (bilinear_extend(pair, u, v + a * w, zero)
                 == bilinear_extend(pair, u, v, zero) + a * bilinear_extend(pair, u, w, zero))
-
-    def test_cyclic_triple_sum_matches_unrolled(self):
-        def mu(m, n):
-            return Fraction(m - n)
-
-        def nu(m, n):
-            return FreeVector.basis(m + n, m * n)
-
-        x, y, z = FreeVector({1: 1}), FreeVector({2: 1}), FreeVector({-3: 1})
-
-        def mu_vec(a, b):
-            return bilinear_extend(mu, a, b, Fraction(0))
-
-        def nu_vec(a, b):
-            return bilinear_extend(nu, a, b, FreeVector.zero())
-
-        expected = (mu_vec(x, nu_vec(y, z)) + mu_vec(y, nu_vec(z, x))
-                    + mu_vec(z, nu_vec(x, y)))
-        assert cyclic_triple_sum(mu, nu, x, y, z, Fraction(0)) == expected

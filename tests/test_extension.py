@@ -144,7 +144,7 @@ class TestExtensionPredicate:
 
     def test_non_cocycle_fails_jacobi_inside_bracket_leg(self):
         text = "window\t3\n-1\t1\t1\n-2\t2\t1\n-3\t3\t1\n"
-        bad = co.CocycleOracle.from_table(co.parse_cocycle_table(text))
+        bad = co.parse_cocycle_table(text)
         report = ext.check_extension_predicate(ext.WITT, bad, 3)
         assert report.status == "fail"
         assert report.counterexample["leg"] == "bracket"

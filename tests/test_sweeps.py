@@ -122,12 +122,22 @@ def test_injected_defect_fails_with_exact_report(request, defect, run, expected,
 
 
 def test_worker_count_is_clamped(monkeypatch):
-    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
     assert sweeps.worker_count(10**6, 169) == 2
     assert sweeps.worker_count(10**6, 1) == 1
     assert sweeps.worker_count(1, 169) == 1
+
+
+def test_worker_count_reads_the_usable_cpus(monkeypatch):
+    # an affinity mask of one CPU on an eight-CPU machine
+    monkeypatch.setattr(os, "cpu_count", lambda: 8)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {3}, raising=False)
+    assert sweeps.worker_count(8, 81) == 1
+    # without affinity support the CPU count caps, and an unknown count means one
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    assert sweeps.worker_count(8, 81) == 8
     monkeypatch.setattr(os, "cpu_count", lambda: None)
-    assert sweeps.worker_count(10**6, 169) == 1
+    assert sweeps.worker_count(8, 81) == 1
 
 
 def test_parallel_sweep_stops_at_the_earliest_failing_record(j_defect, monkeypatch):
@@ -151,7 +161,7 @@ def test_parallel_sweep_stops_at_the_earliest_failing_record(j_defect, monkeypat
                 yield fn(task)
 
     serial = fock.check_heisenberg_relations(2, 3, A, jobs=1)
-    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", LazyExecutor)
     assert fock.check_heisenberg_relations(2, 3, A, jobs=2) == serial
     # the failing record (k, l) = (-2, 0) is the third of 25

@@ -72,7 +72,7 @@ class TestAction:
     def test_matches_word_oracle(self, a, partition, weights):
         c, h = weights
         result = verma.l_action(a, verma.basis(c, h, partition))
-        assert dict(result.terms.items()) == oracles.verma_word_action((a,), partition, c, h)
+        assert dict(result.items()) == oracles.verma_word_action((a,), partition, c, h)
 
     @given(st.integers(-3, 3), partitions, partitions, scalars)
     def test_linearity(self, a, p1, p2, coeff):
@@ -84,7 +84,7 @@ class TestAction:
     def test_grading(self, a, partition):
         result = verma.l_action(a, verma.basis(C, H, partition))
         target = fock.level(partition) - a
-        assert all(fock.level(part) == target for part in result.terms.support())
+        assert all(fock.level(part) == target for part in result.support())
 
 
 class TestStraighteningDepth:

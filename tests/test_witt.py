@@ -53,13 +53,12 @@ class TestJacobi:
         def broken(m, n):
             return FreeVector.basis(m + n, m + n)
 
-        from virasoro.core import cyclic_triple_sum
-        defect = cyclic_triple_sum(broken, broken,
-                                   FreeVector.basis(1), FreeVector.basis(2),
-                                   FreeVector.basis(-1), FreeVector.zero())
-        assert not defect.is_zero()
-        # and the sweep reports the first such triple: 3 * [[l(-2), l(-2)], l(-2)]
         monkeypatch.setattr(witt, "bracket_pair", broken)
+        defect = witt.jacobi_defect(FreeVector.basis(1), FreeVector.basis(2),
+                                    FreeVector.basis(-1))
+        # 2·l(2) from [l(1), l(1)], 0 from [l(2), 0], 6·l(2) from [l(-1), 3·l(3)]
+        assert defect == FreeVector.basis(2, 8)
+        # and the sweep reports the first such triple: 3 * [[l(-2), l(-2)], l(-2)]
         assert witt.jacobi_basis_sweep(2).to_text() == (
             "FAIL witt-jacobi max_index=2 checked_count=1 counterexample.actual='72·l(-6)' "
             "counterexample.expected=0 counterexample.indices.k=-2 "

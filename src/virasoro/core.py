@@ -1,9 +1,10 @@
 """Exact scalars, finitely supported vectors and partition-graded modules.
 
-The ground field is the rationals, realised by fractions.Fraction: every
-value is kept in lowest terms with a positive denominator and arithmetic
-never rounds.  Vectors are sparse maps from basis indices to scalars; zero
-coefficients are never stored, so equality is structural.  The Fock and
+The ground field is the rationals; arithmetic never rounds.  A vector is a
+sparse map from basis indices to integer numerators over one shared positive
+denominator, kept in lowest terms, so the hot loops add and multiply plain
+integers and equality is structural.  Scalars cross the API boundary as
+fractions.Fraction (lowest terms, positive denominator).  The Fock and
 highest-weight modules share one vector type over a partition basis.
 """
 
@@ -12,6 +13,7 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 from functools import lru_cache
+from math import gcd, lcm
 from typing import Callable, Iterable, Mapping
 
 Scalar = Fraction
@@ -77,37 +79,74 @@ class FreeVector:
     """Finitely supported map from basis indices to scalars.
 
     Any hashable, sortable index type works: integers for the Witt basis,
-    integer tuples for partition-indexed modules.  `module` holds the exact
-    parameters of the module the vector lies in, empty for a plain vector;
-    every operation returns a vector of its operand's class and module, and
-    vectors combine only within one class and module.  Instances are treated
-    as immutable; every operation returns a new vector.
+    integer tuples for partition-indexed modules.  The coefficients are
+    integer numerators `_num` over one positive denominator `_den`, in lowest
+    terms (`gcd(_den, *_num.values()) == 1`, and 1 for the zero vector);
+    zero numerators are never stored, so equality is structural.  `coeff`
+    and `items` return Fractions.  `module` holds the exact parameters of
+    the module the vector lies in, empty for a plain vector; every operation
+    returns a vector of its operand's class and module, and vectors combine
+    only within one class and module.  Instances are treated as immutable;
+    every operation returns a new vector.
     """
 
-    __slots__ = ("_coeffs", "module")
+    __slots__ = ("_num", "_den", "module")
 
     def __init__(self, coeffs: Mapping | Iterable | None = None):
         table: dict = {}
         if coeffs is not None:
             items = coeffs.items() if hasattr(coeffs, "items") else coeffs
             for index, raw in items:
-                value = as_scalar(raw)
-                if not value:
-                    continue
-                total = table.get(index, ZERO) + value
-                if total:
-                    table[index] = total
-                else:
-                    del table[index]
-        self._coeffs = table
+                table[index] = table.get(index, ZERO) + as_scalar(raw)
+        self._den = lcm(*(value.denominator for value in table.values()))
+        self._num = {index: value.numerator * (self._den // value.denominator)
+                     for index, value in table.items() if value}
         self.module = ()
 
     @classmethod
-    def _wrap(cls, table: dict, module: tuple = ()) -> "FreeVector":
+    def _wrap(cls, num: dict, den: int = 1, module: tuple = ()) -> "FreeVector":
         vector = cls.__new__(cls)
-        vector._coeffs = table
+        vector._num = num
+        vector._den = den
         vector.module = module
         return vector
+
+    @classmethod
+    def _sum(cls, pairs: Iterable[tuple], module: tuple = (), den: int = 1) -> "FreeVector":
+        """Sum of coeff/den * vector over (coeff, vector) pairs, coeff an int or a Fraction.
+
+        Every pair is brought to the lcm of the pair denominators, the
+        numerators are added as integers, and the sum is reduced once.  The
+        arithmetic operators call it directly, so linear_combination stays
+        the layer of operator applications that bench/child.py traces.
+        """
+        scaled, common = [], 1
+        for coeff, vector in pairs:
+            if coeff and vector._num:
+                q = coeff.denominator * den * vector._den
+                scaled.append((coeff.numerator, q, vector))
+                if common % q:
+                    common = lcm(common, q)
+        if len(scaled) == 1:
+            p, q, vector = scaled[0]
+            if p == 1 and q == vector._den:   # the vector itself; numerator tables are shared
+                return cls._wrap(vector._num, q, module)
+            table = {index: p * value for index, value in vector._num.items()}
+        else:
+            table = {}
+            get = table.get
+            for p, q, vector in scaled:
+                p *= common // q
+                for index, value in vector._num.items():
+                    table[index] = get(index, 0) + p * value
+            if 0 in table.values():
+                table = {index: value for index, value in table.items() if value}
+        if common != 1:
+            divisor = gcd(common, *table.values())
+            if divisor != 1:
+                common //= divisor
+                table = {index: value // divisor for index, value in table.items()}
+        return cls._wrap(table, common, module)
 
     @classmethod
     def zero(cls) -> "FreeVector":
@@ -116,74 +155,56 @@ class FreeVector:
     @classmethod
     def basis(cls, index, coeff=ONE, module: tuple = ()) -> "FreeVector":
         coeff = as_scalar(coeff)
-        return cls._wrap({index: coeff} if coeff else {}, module)
+        return cls._wrap({index: coeff.numerator} if coeff else {}, coeff.denominator, module)
 
     @classmethod
-    def linear_combination(cls, pairs: Iterable[tuple], module: tuple = ()) -> "FreeVector":
-        """Sum of coeff * vector over (coeff, FreeVector) pairs, in the given module."""
-        table: dict = {}
-        for coeff, vector in pairs:
-            if not coeff:
-                continue
-            for index, value in vector._coeffs.items():
-                total = table.get(index, ZERO) + coeff * value
-                if total:
-                    table[index] = total
-                else:
-                    del table[index]
-        return cls._wrap(table, module)
+    def linear_combination(cls, pairs: Iterable[tuple], module: tuple = (),
+                           den: int = 1) -> "FreeVector":
+        """Sum of coeff * vector over (coeff, FreeVector) pairs, over den, in the given module."""
+        return cls._sum(pairs, module, den)
 
     def coeff(self, index) -> Fraction:
-        return self._coeffs.get(index, ZERO)
+        return Fraction(self._num.get(index, 0), self._den)
 
     def items(self) -> list[tuple]:
-        return sorted(self._coeffs.items())
+        return [(index, Fraction(value, self._den)) for index, value in sorted(self._num.items())]
 
     def support(self) -> list:
-        return sorted(self._coeffs)
+        return sorted(self._num)
 
     def is_zero(self) -> bool:
-        return not self._coeffs
+        return not self._num
 
     def __bool__(self) -> bool:
-        return bool(self._coeffs)
+        return bool(self._num)
 
-    def __add__(self, other):
+    def __add__(self, other, sign=1):
         if type(other) is not type(self):
             return NotImplemented
         if self.module != other.module:
             shown = ["(" + ", ".join(map(str, v.module)) + ")" for v in (self, other)]
             raise ValueError(f"cannot combine vectors of {self.noun} {shown[0]} and {shown[1]}")
-        table = dict(self._coeffs)
-        for index, value in other._coeffs.items():
-            total = table.get(index, ZERO) + value
-            if total:
-                table[index] = total
-            else:
-                del table[index]
-        return self._wrap(table, self.module)
+        return self._sum(((1, self), (sign, other)), self.module)
 
     def __sub__(self, other):
-        return self + (-other) if type(other) is type(self) else NotImplemented
+        return self.__add__(other, -1)
 
     def __neg__(self):
-        return self._wrap({index: -value for index, value in self._coeffs.items()}, self.module)
+        return self._wrap({index: -value for index, value in self._num.items()},
+                          self._den, self.module)
 
     def __mul__(self, scalar):
         if not isinstance(scalar, (int, Fraction)):
             return NotImplemented
-        scalar = as_scalar(scalar)
-        if not scalar:
-            return self._wrap({}, self.module)
-        return self._wrap({index: scalar * value for index, value in self._coeffs.items()},
-                          self.module)
+        return self._sum(((scalar, self),), self.module)
 
     __rmul__ = __mul__
 
     def __eq__(self, other):
         if type(other) is not type(self):
             return NotImplemented
-        return self.module == other.module and self._coeffs == other._coeffs
+        return (self.module == other.module and self._den == other._den
+                and self._num == other._num)
 
     def __repr__(self):
         arguments = self.module + (dict(self.items()),)
@@ -193,7 +214,8 @@ class FreeVector:
 def linear_extend(basis_map: Callable, vector: FreeVector) -> FreeVector:
     """Apply a basis-indexed map index -> FreeVector linearly, within vector's module."""
     return type(vector).linear_combination(
-        ((coeff, basis_map(index)) for index, coeff in vector._coeffs.items()), vector.module)
+        ((value, basis_map(index)) for index, value in vector._num.items()),
+        vector.module, vector._den)
 
 
 def bilinear_extend(pair_map: Callable, left: FreeVector, right: FreeVector, zero):
@@ -203,10 +225,16 @@ def bilinear_extend(pair_map: Callable, left: FreeVector, right: FreeVector, zer
     Fraction(0) for scalar-valued ones.
     """
     acc = zero
-    for i, a in left._coeffs.items():
-        for j, b in right._coeffs.items():
+    for i, a in left._num.items():
+        for j, b in right._num.items():
             acc = acc + (a * b) * pair_map(i, j)
-    return acc
+    den = left._den * right._den
+    return acc if den == 1 else acc * Fraction(1, den)
+
+
+def as_pair(value: int | Fraction) -> tuple[int, int]:
+    """Numerator and denominator of an exact scalar: a cache key that hashes ints."""
+    return value.numerator, value.denominator
 
 
 Partition = tuple[int, ...]
@@ -263,8 +291,7 @@ class ModuleVector(FreeVector):
         if self.is_zero():
             return "0"
         rendered = []
-        for partition, coeff in sorted(self._coeffs.items(),
-                                       key=lambda item: (sum(item[0]), item[0])):
+        for partition, coeff in sorted(self.items(), key=lambda item: (sum(item[0]), item[0])):
             word = "".join(f"{self.letter}(-{part})" for part in partition)
             rendered.append(f"{format_scalar(coeff)}·{word}{self.ket}")
         return " + ".join(rendered)

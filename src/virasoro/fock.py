@@ -12,15 +12,14 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from math import lcm
 
-from .core import (ZERO, FreeVector, ModuleVector, Partition, as_scalar, format_scalar,
+from .core import (ZERO, FreeVector, ModuleVector, Partition, as_pair, as_scalar, format_scalar,
                    linear_extend, partitions_of_level, partitions_up_to)
 from .reports import VerificationReport, first_counterexample, mismatch
 from .sweeps import index_grid, run_sweep
 
 # partitions_of_level and partitions_up_to enumerate the basis; importable from here.
-
-_HALF = Fraction(1, 2)
 
 
 def as_partition(parts) -> Partition:
@@ -61,12 +60,14 @@ def basis(alpha, partition) -> FockVector:
 format_vector = FockVector.__str__
 
 
+# The operator caches take the charge as its (numerator, denominator) pair.
+
 @lru_cache(maxsize=None)
-def _j_basis(k: int, partition: Partition, alpha: Fraction) -> FreeVector:
+def _j_basis(k: int, partition: Partition, alpha: tuple[int, int]) -> FreeVector:
     if k < 0:
         return FreeVector.basis(insert_part(partition, -k))
     if k == 0:
-        return FreeVector.basis(partition, alpha)
+        return FreeVector.basis(partition, Fraction(*alpha))
     multiplicity = partition.count(k)
     if not multiplicity:
         return FreeVector.zero()
@@ -79,7 +80,7 @@ def j_action(k: int, v: FockVector) -> FockVector:
     k < 0 inserts a part |k|; k = 0 scales by the charge; k > 0 removes one
     copy of k weighted by k times its multiplicity (zero if k is not a part).
     """
-    alpha = v.alpha
+    alpha = as_pair(v.alpha)
     return linear_extend(lambda p: _j_basis(k, p, alpha), v)
 
 
@@ -104,13 +105,16 @@ def normal_pair(k: int, l: int, v: FockVector) -> FockVector:
 
 
 @lru_cache(maxsize=None)
-def _sugawara_basis(n: int, partition: Partition, alpha: Fraction) -> FreeVector:
+def _sugawara_basis(n: int, partition: Partition, alpha: tuple[int, int]) -> FreeVector:
+    """1/2 * sum of :J(n-k)J(k): on one basis vector, multiplied out of the J columns."""
     bound = partition[0] + 1 if partition else 1
-    unit = FockVector.basis(partition, module=(alpha,))
-    pieces = []
-    for k in range(n - bound + 1, bound):
-        pieces.append((_HALF, normal_pair(n - k, k, unit)))
-    return FreeVector.linear_combination(pieces)
+    # As in normal_pair, the higher index acts first.
+    firsts = [(_j_basis(max(n - k, k), partition, alpha), min(n - k, k))
+              for k in range(n - bound + 1, bound)]
+    den = lcm(*(first._den for first, _ in firsts))
+    return FreeVector.linear_combination(
+        [(value * (den // first._den), _j_basis(second, middle, alpha))
+         for first, second in firsts for middle, value in first._num.items()], den=2 * den)
 
 
 def sugawara_l(n: int, v: FockVector) -> FockVector:
@@ -119,7 +123,7 @@ def sugawara_l(n: int, v: FockVector) -> FockVector:
     Only indices with n - N < k < N contribute, where N is the truncation
     bound, so the sum is finite; every omitted term vanishes on v.
     """
-    alpha = v.alpha
+    alpha = as_pair(v.alpha)
     return linear_extend(lambda p: _sugawara_basis(n, p, alpha), v)
 
 

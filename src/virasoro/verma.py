@@ -16,7 +16,7 @@ from fractions import Fraction
 from functools import lru_cache, partial
 
 from . import fock
-from .core import ZERO, FreeVector, ModuleVector, as_scalar, format_scalar, linear_extend
+from .core import ZERO, FreeVector, ModuleVector, as_pair, as_scalar, format_scalar, linear_extend
 from .fock import Partition, as_partition
 from .reports import VerificationReport, first_counterexample, mismatch
 from .sweeps import index_grid, run_sweep
@@ -40,38 +40,40 @@ format_vector = VermaVector.__str__
 
 
 @lru_cache(maxsize=None)
-def _act_basis(a: int, partition: Partition, c: Fraction, h: Fraction) -> FreeVector:
+def _act_basis(a: int, partition: Partition, c: tuple[int, int],
+               h: tuple[int, int]) -> FreeVector:
     """L(a) applied to one ordered monomial, straightened back into the basis.
 
-    Empty monomial: positive generators annihilate, L(0) is the h eigenvalue,
-    negative ones start a new monomial.  Otherwise L(a) either prepends
-    canonically (a lowering operator at least as large as the leading part)
-    or is commuted past the leading L(-p), which strictly shrinks the
-    monomial every recursive call takes as input.
+    c and h are (numerator, denominator) pairs.  Empty monomial: positive
+    generators annihilate, L(0) is the h eigenvalue, negative ones start a
+    new monomial.  Otherwise L(a) either prepends canonically (a lowering
+    operator at least as large as the leading part) or is commuted past the
+    leading L(-p), which strictly shrinks the monomial every recursive call
+    takes as input.
     """
     if not partition:
         if a > 0:
             return FreeVector.zero()
         if a == 0:
-            return FreeVector.basis((), h)
+            return FreeVector.basis((), Fraction(*h))
         return FreeVector.basis((-a,))
     p = partition[0]
     rest = partition[1:]
     if a < 0 and -a >= p:
         return FreeVector.basis((-a,) + partition)
     # L(a) L(-p) = L(-p) L(a) + (a + p) L(a - p) + delta_{a,p} (a^3 - a)/12 C
-    pieces = []
-    for inner, coeff in _act_basis(a, rest, c, h).items():
-        pieces.append((coeff, _act_basis(-p, inner, c, h)))
+    moved = _act_basis(a, rest, c, h)
+    den = moved._den
+    pairs = [(value, _act_basis(-p, inner, c, h)) for inner, value in moved._num.items()]
     if a + p:
-        pieces.append((Fraction(a + p), _act_basis(a - p, rest, c, h)))
+        pairs.append(((a + p) * den, _act_basis(a - p, rest, c, h)))
     if a == p:
-        pieces.append((Fraction(a**3 - a, 12) * c, FreeVector.basis(rest)))
-    return FreeVector.linear_combination(pieces)
+        pairs.append((Fraction((a**3 - a) * c[0] * den, 12 * c[1]), FreeVector.basis(rest)))
+    return FreeVector.linear_combination(pairs, den=den)
 
 
 def l_action(a: int, v: VermaVector) -> VermaVector:
-    c, h = v.module
+    c, h = map(as_pair, v.module)
     return linear_extend(lambda p: _act_basis(a, p, c, h), v)
 
 
@@ -80,25 +82,28 @@ def c_action(v: VermaVector) -> VermaVector:
 
 
 def straightening_depth(a: int, partition: Partition, c, h) -> int:
-    """Recursion depth of one straightening; mirrors _act_basis call for call.
+    """Recursion depth of one straightening; _depth mirrors _act_basis call for call.
 
     Bounded by the monomial length plus one: the only recursive call that
     does not shrink the monomial is a canonical prepend, which returns
-    immediately.
+    immediately.  The cache keys are those l_action uses, so the columns
+    it has built are read, not built again.
     """
-    c = as_scalar(c)
-    h = as_scalar(h)
+    return _depth(a, partition, as_pair(as_scalar(c)), as_pair(as_scalar(h)))
+
+
+def _depth(a: int, partition: Partition, c: tuple[int, int], h: tuple[int, int]) -> int:
     if not partition:
         return 1
     p = partition[0]
     rest = partition[1:]
     if a < 0 and -a >= p:
         return 1
-    depth = 1 + straightening_depth(a, rest, c, h)
-    for inner, _ in _act_basis(a, rest, c, h).items():
-        depth = max(depth, 1 + straightening_depth(-p, inner, c, h))
+    depth = 1 + _depth(a, rest, c, h)
+    for inner in _act_basis(a, rest, c, h)._num:
+        depth = max(depth, 1 + _depth(-p, inner, c, h))
     if a + p:
-        depth = max(depth, 1 + straightening_depth(a - p, rest, c, h))
+        depth = max(depth, 1 + _depth(a - p, rest, c, h))
     return depth
 
 

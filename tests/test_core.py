@@ -1,8 +1,11 @@
 import pickle
+from collections import defaultdict
 from fractions import Fraction
+from itertools import combinations
+from math import gcd
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import free_vectors, scalars
@@ -172,6 +175,86 @@ class TestModuleVector:
             "FockVector(Fraction(1, 2), {(1,): Fraction(1, 1)})")
         v = verma.basis(C, H, (2, 1))
         assert eval(repr(v), {"VermaVector": verma.VermaVector, "Fraction": Fraction}) == v
+
+
+# Coefficient tables of mixed denominators, zero values included, over partition indices.
+KEYS = fock.partitions_up_to(3)
+fraction_tables = st.dictionaries(
+    st.sampled_from(KEYS),
+    st.one_of(st.just(Fraction(0)), st.fractions(-6, 6, max_denominator=9)), max_size=5)
+
+
+def _reference(pairs) -> dict:
+    """sum of coeff * table over (coeff, Fraction dict) pairs, zeros dropped."""
+    total = defaultdict(Fraction)
+    for coeff, table in pairs:
+        for index, value in table.items():
+            total[index] += coeff * value
+    return {index: value for index, value in total.items() if value}
+
+
+def _column(partition) -> dict:
+    return {fock.insert_part(partition, 1): Fraction(1, 3),
+            partition: Fraction(-2, len(partition) + 5)}
+
+
+def _pair(p, q) -> dict:
+    return {fock.insert_part(p, len(q) + 1): Fraction(len(p) - len(q), 7)}
+
+
+class TestCanonicalForm:
+    """Integer numerators over one denominator against a plain Fraction-dict reference."""
+
+    @staticmethod
+    def assert_canonical(v, reference):
+        assert v.items() == sorted(reference.items())
+        for _, value in v.items() + [(None, v.coeff((9,)))]:
+            assert type(value) is Fraction
+            assert value.denominator > 0 and gcd(value.numerator, value.denominator) == 1
+        assert all(v.coeff(index) == value for index, value in reference.items())
+        assert v._den > 0 and gcd(v._den, *v._num.values()) == 1
+        assert 0 not in v._num.values()
+        assert v._den == 1 or reference
+        restored = pickle.loads(pickle.dumps(v))
+        assert (restored._den, restored.module, type(restored)) == (v._den, v.module, type(v))
+        assert restored == v
+
+    @pytest.mark.parametrize("make", [FreeVector, lambda table: fock.FockVector(ALPHA, table)],
+                             ids=["plain", "fock"])
+    @settings(deadline=None)
+    @given(x=fraction_tables, y=fraction_tables, a=st.fractions(-5, 5, max_denominator=8),
+           k=st.integers(-4, 4))
+    def test_operations_match_fraction_dicts(self, make, x, y, a, k):
+        u, v = make(x), make(y)
+        basis_map = lambda p: FreeVector(_column(p))  # noqa: E731
+        pair_map = lambda p, q: FreeVector(_pair(p, q))  # noqa: E731
+        results = [
+            (u, _reference([(1, x)])),
+            (v, _reference([(1, y)])),
+            (u + v, _reference([(1, x), (1, y)])),
+            (u - v, _reference([(1, x), (-1, y)])),
+            ((u + v) - v, _reference([(1, x)])),
+            (-u, _reference([(-1, x)])),
+            (u * k, _reference([(k, x)])),
+            (a * u, _reference([(a, x)])),
+            (0 * u, {}),
+            (u * Fraction(0), {}),
+            (u - u, {}),
+            (type(u).linear_combination([(a, u), (k, v), (Fraction(0), v)], u.module),
+             _reference([(a, x), (k, y)])),
+            (type(u).linear_combination([(2, u), (-1, u)], u.module), _reference([(1, x)])),
+            (linear_extend(basis_map, u),
+             _reference([(value, _column(index)) for index, value in x.items()])),
+            (bilinear_extend(pair_map, u, v, FreeVector.zero()),
+             _reference([(x[p] * y[q], _pair(p, q)) for p in x for q in y])),
+        ]
+        for vector, reference in results:
+            self.assert_canonical(vector, reference)
+        for (left, left_ref), (right, right_ref) in combinations(results[:-1], 2):
+            assert (left == right) == (left_ref == right_ref)
+        scalar = bilinear_extend(lambda p, q: Fraction(len(p) + 1, len(q) + 2), u, v, Fraction(0))
+        assert scalar == sum((x[p] * y[q] * Fraction(len(p) + 1, len(q) + 2)
+                              for p in x for q in y), Fraction(0))
 
 
 class TestExtensions:

@@ -1,4 +1,6 @@
+from collections import defaultdict
 from fractions import Fraction
+from functools import lru_cache
 
 import pytest
 from hypothesis import given, settings
@@ -178,6 +180,50 @@ class TestSugawara:
     def test_matches_wide_margin_oracle(self, n, partition, alpha):
         result = fock.sugawara_l(n, fock.basis(alpha, partition))
         assert dict(result.items()) == oracles.fock_sugawara(n, partition, alpha)
+
+    def test_column_denominator_is_the_lcm_of_its_factors(self, monkeypatch):
+        """J columns whose denominators do not divide 2b² still give exact L columns.
+
+        With alpha = 2/3 every true column has a denominator dividing 2·3²;
+        the skewed J(k) adds 1/(5 + |k|) of the input, so the products carry
+        denominators 5, 6, 7, ... as well.
+        """
+        original = fock._j_basis
+
+        @lru_cache(maxsize=None)
+        def skewed(k, partition, alpha):
+            extra = FreeVector.basis(partition, Fraction(1, 5 + abs(k)))
+            return original(k, partition, alpha) + extra
+
+        alpha = Fraction(2, 3)
+        monkeypatch.setattr(fock, "_j_basis", skewed)
+        fock._sugawara_basis.cache_clear()
+        try:
+            for n in range(-2, 3):
+                for partition in fock.partitions_up_to(3):
+                    v = fock.basis(alpha, partition)
+                    bound = fock.truncation_bound(v)
+                    expected = fock.FockVector(alpha, {})
+                    for k in range(n - bound + 1, bound):
+                        expected = expected + HALF * fock.normal_pair(n - k, k, v)
+                    assert fock.sugawara_l(n, v) == expected
+        finally:
+            fock._sugawara_basis.cache_clear()
+
+    # Denominators 1 to 7, two negative charges and the zero charge.
+    @pytest.mark.parametrize("alpha", [Fraction(0), Fraction(3), Fraction(-5, 2), Fraction(2, 3),
+                                       Fraction(3, 4), Fraction(-4, 5), Fraction(5, 6),
+                                       Fraction(6, 7)], ids=str)
+    @settings(max_examples=12, deadline=None)
+    @given(n=st.integers(-3, 3), m=st.integers(-3, 3),
+           partition=st.lists(st.integers(1, 3), max_size=3).map(fock.as_partition))
+    def test_composition_matches_two_oracle_steps(self, alpha, n, m, partition):
+        result = fock.sugawara_l(n, fock.sugawara_l(m, fock.basis(alpha, partition)))
+        expected = defaultdict(Fraction)
+        for middle, coeff in oracles.fock_sugawara(m, partition, alpha).items():
+            for part, value in oracles.fock_sugawara(n, middle, alpha).items():
+                expected[part] += coeff * value
+        assert dict(result.items()) == {part: value for part, value in expected.items() if value}
 
     @given(st.integers(-3, 3), partitions, partitions, scalars, scalars)
     def test_linearity(self, n, p1, p2, alpha, coeff):

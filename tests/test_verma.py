@@ -74,6 +74,16 @@ class TestAction:
         result = verma.l_action(a, verma.basis(c, h, partition))
         assert dict(result.items()) == oracles.verma_word_action((a,), partition, c, h)
 
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(-3, 3), st.integers(-3, 3),
+           st.lists(st.integers(1, 3), max_size=3).map(fock.as_partition),
+           st.sampled_from([(Fraction(-22, 5), Fraction(-1, 5)), (Fraction(7, 3), Fraction(5, 6)),
+                            (Fraction(1, 2), Fraction(-3, 7)), (Fraction(-9, 4), Fraction(2))]))
+    def test_composition_matches_word_oracle(self, a, b, partition, weights):
+        c, h = weights
+        result = verma.l_action(a, verma.l_action(b, verma.basis(c, h, partition)))
+        assert dict(result.items()) == oracles.verma_word_action((a, b), partition, c, h)
+
     @given(st.integers(-3, 3), partitions, partitions, scalars)
     def test_linearity(self, a, p1, p2, coeff):
         u, v = verma.basis(C, H, p1), verma.basis(C, H, p2)
@@ -95,6 +105,14 @@ class TestStraighteningDepth:
 
     def test_prepend_is_flat(self):
         assert verma.straightening_depth(-5, (3, 2), C, H) == 1
+
+    def test_reads_the_columns_l_action_built(self):
+        c, h = Fraction(-22, 5), Fraction(-1, 7)
+        verma._act_basis.cache_clear()
+        verma.l_action(3, verma.basis(c, h, (3, 2, 1)))
+        built = verma._act_basis.cache_info().misses
+        assert verma.straightening_depth(3, (3, 2, 1), c, h) <= 4
+        assert verma._act_basis.cache_info().misses == built
 
 
 class TestRelations:

@@ -87,7 +87,8 @@ def main():
 @main.command()
 @click.argument("kind", type=click.Choice(KINDS))
 @_window_option
-@click.option("--max-index", type=click.IntRange(min=0), default=4, show_default=True,
+@click.option("--max-index", type=click.IntRange(min=0), default=None,
+              show_default="4; 10 for verma-hw",
               help="Bound on generator indices in operator sweeps.")
 @click.option("--max-level", type=click.IntRange(min=0), default=5, show_default=True,
               help="Bound on basis partition levels in module sweeps.")
@@ -119,6 +120,8 @@ def verify(kind, window, max_index, max_level, alpha, c, h, input_path,
     (--c, --h).  intertwine: the canonical module map commutes with the
     generators.  sum-identity: the weighted sum formula for n <= --max-index.
     """
+    if max_index is None and kind != "verma-hw":
+        max_index = 4
     reports: list[VerificationReport] = []
     if kind == "witt-jacobi":
         reports.append(witt.jacobi_basis_sweep(max_index))
@@ -144,7 +147,8 @@ def verify(kind, window, max_index, max_level, alpha, c, h, input_path,
     elif kind == "verma":
         reports.append(verma.check_verma_relations(max_index, max_level, c, h, jobs))
     elif kind == "verma-hw":
-        reports.append(verma.verma_hw_check(c, h))
+        reports.append(verma.verma_hw_check(c, h) if max_index is None
+                       else verma.verma_hw_check(c, h, max_index))
     elif kind == "intertwine":
         reports.append(verma.check_intertwining(alpha, max_index, max_level, jobs))
     elif kind == "sum-identity":

@@ -10,6 +10,7 @@ witness certifies (non)triviality.
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from fractions import Fraction
 from itertools import product
 from pathlib import Path
@@ -17,7 +18,8 @@ from typing import Callable, Iterable, Mapping
 
 from .core import (ZERO, FreeVector, ScalarFormatError, as_scalar, format_scalar, parse_integer,
                    parse_scalar)
-from .reports import VerificationReport, counterexample, first_counterexample, mismatch
+from .reports import (VerificationReport, counterexample, first_counterexample, mismatch,
+                      sweep_report)
 
 
 class TableFormatError(ValueError):
@@ -146,39 +148,40 @@ def check_cocycle_identity(omega: CocycleOracle, window: int) -> VerificationRep
     """Cocycle identity on all basis triples with |n|, |m|, |k| <= window.
 
     The identity instance at (n, m, k) reads
-        (m - k) w(n, m + k) + (k - n) w(m, n + k) + (n - m) w(k, n + m) = 0.
-    Triples run in lexicographic order of (n, m, k).
+        (m - k) w(n, m + k) + (k - n) w(m, n + k) + (n - m) w(k, n + m) = 0,
+    that is, only pairs summing to s = n + m + k.  With f_s(a) = w(a, s - a)
+    the defect is (m - k) f_s(n) + (k - n) f_s(m) + (n - m) f_s(k), so every
+    instance of a slab s on which f_s vanishes holds exactly, and only the
+    other slabs are swept.  omega is tabulated once on |a| <= window,
+    |b| <= 2 * window as integer numerators over one denominator.  Triples
+    are ranked in lexicographic order of (n, m, k); the first failing one is
+    the counterexample, and its rank the checked count.
     """
     parameters = {"window": str(window), "cocycle": omega.description}
+    side = 2 * window + 1
     indices = range(-window, window + 1)
-    # the sweep revisits the same pair many times; cache the oracle's values
-    cache: dict[tuple[int, int], Fraction] = {}
-
-    def value(a, b):
-        hit = cache.get((a, b))
-        if hit is None:
-            hit = cache[(a, b)] = omega(a, b)
-        return hit
-
-    def outcomes():
-        for n in indices:
-            for m in indices:
-                for k in indices:
-                    defect = ZERO
-                    w = value(n, m + k)
-                    if w:
-                        defect = (m - k) * w
-                    w = value(m, n + k)
-                    if w:
-                        defect = defect + (k - n) * w
-                    w = value(k, n + m)
-                    if w:
-                        defect = defect + (n - m) * w
-                    yield (counterexample({"n": n, "m": m, "k": k},
-                                          expected="0", actual=format_scalar(defect))
-                           if defect else None)
-
-    return first_counterexample("cocycle-identity", parameters, outcomes())
+    table = FreeVector(((a + b, a), omega(a, b))
+                       for a in indices for b in range(-2 * window, 2 * window + 1))
+    # rows[s][a] is the numerator of f_s(a); a negative a indexes from the end,
+    # and the indices -window..window never collide in a list of length side.
+    rows: dict[int, list[int]] = {}
+    for (s, a), value in table._num.items():
+        rows.setdefault(s, [0] * side)[a] = value
+    slabs = sorted(rows)
+    for n in indices:
+        for m in indices:
+            t = n + m
+            # ascending s is ascending k = s - t; only slabs with |k| <= window
+            for s in slabs[bisect_left(slabs, t - window):bisect_right(slabs, t + window)]:
+                f = rows[s]
+                k = s - t
+                defect = (m - k) * f[n] + (k - n) * f[m] + (n - m) * f[k]
+                if defect:
+                    found = counterexample({"n": n, "m": m, "k": k}, expected="0",
+                                           actual=format_scalar(Fraction(defect, table._den)))
+                    rank = ((n + window) * side + m + window) * side + k + window + 1
+                    return sweep_report("cocycle-identity", parameters, rank, found)
+    return sweep_report("cocycle-identity", parameters, side ** 3)
 
 
 def reduce_cocycle(omega: CocycleOracle, window: int):

@@ -97,7 +97,10 @@ class FreeVector:
         if coeffs is not None:
             items = coeffs.items() if hasattr(coeffs, "items") else coeffs
             for index, raw in items:
-                table[index] = table.get(index, ZERO) + as_scalar(raw)
+                value = as_scalar(raw)
+                if value:
+                    previous = table.get(index)
+                    table[index] = value if previous is None else previous + value
         self._den = lcm(*(value.denominator for value in table.values()))
         self._num = {index: value.numerator * (self._den // value.denominator)
                      for index, value in table.items() if value}

@@ -65,11 +65,22 @@ def first_counterexample(check_name: str, parameters: dict, outcomes) -> Verific
     record.  Instances are counted up to the first counterexample, where the
     sweep stops: outcomes is consumed lazily and never past that point.
     """
-    checked = 0
+    checked, found = 0, None
     for checked, found in enumerate(outcomes, start=1):
         if found is not None:
-            return VerificationReport(check_name, parameters, FAIL, checked, found)
-    return VerificationReport(check_name, parameters, PASS, checked)
+            break
+    return sweep_report(check_name, parameters, checked, found)
+
+
+def sweep_report(check_name: str, parameters: dict, checked_count: int,
+                 found: dict | None = None) -> VerificationReport:
+    """The report of a sweep that examined checked_count instances in canonical order.
+
+    found is the counterexample record of the last instance examined, or
+    None when every instance held.
+    """
+    return VerificationReport(check_name, parameters, PASS if found is None else FAIL,
+                              checked_count, found)
 
 
 def mismatch(indices: dict, expected, actual, render=str, **extra) -> dict | None:

@@ -11,6 +11,9 @@ A word (x1, ..., xk) denotes the composite X_{x1} ... X_{xk} applied to the
 highest-weight (or vacuum) vector, rightmost factor first.  Canonical words
 have all entries negative and weakly increasing, which matches the
 partition encoding: word (-p1, ..., -pm) <-> partition (p1 >= ... >= pm).
+
+The cocycle identity's reference is the plain Fraction loop over every
+triple, without the slab skip or the integer table of the library sweep.
 """
 
 from collections import defaultdict
@@ -97,3 +100,27 @@ def fock_sugawara(n, partition, alpha):
         for part, value in fock_word_action((lo, hi), partition, alpha).items():
             total[part] += value / 2
     return {part: value for part, value in total.items() if value}
+
+
+def cocycle_identity_reference(omega, window):
+    """The cocycle identity swept as a plain Fraction triple loop.
+
+    Returns (status, checked_count, counterexample) as the library report
+    carries them: triples in lexicographic order of (n, m, k), counted up to
+    and including the first nonzero defect.
+    """
+    indices = range(-window, window + 1)
+    checked = 0
+    for n in indices:
+        for m in indices:
+            for k in indices:
+                checked += 1
+                defect = (Fraction(m - k) * omega(n, m + k) + (k - n) * omega(m, n + k)
+                          + (n - m) * omega(k, n + m))
+                if defect:
+                    return "fail", checked, {
+                        "indices": {"n": str(n), "m": str(m), "k": str(k)},
+                        "expected": "0",
+                        "actual": str(defect),
+                    }
+    return "pass", checked, None

@@ -59,6 +59,12 @@ class TestVerify:
         assert len(invoke("verify", "heisenberg", "--max-index", "2",
                           "--max-level", "2", "--format", "json").output.splitlines()) == 2
 
+    def test_verma_hw_reads_max_index(self):
+        result = invoke("verify", "verma-hw", "--max-index", "3")
+        assert result.exit_code == 0
+        record = parse_text_line(result.output)
+        assert (record["max_index"], record["checked_count"]) == ("3", "5")
+
     def test_failing_input_exits_one(self):
         result = invoke("verify", "cocycle", "--input", str(SIGN_TABLE), "--window", "3")
         assert result.exit_code == 1

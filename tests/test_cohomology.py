@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import one_cochain_values, scalars
+from oracles import cocycle_identity_reference
 from virasoro import cohomology as co
 from virasoro.core import FreeVector
 
@@ -106,6 +107,62 @@ class TestIdentityFailure:
         # defect verified by hand:
         # (1-2)w(-3,3) + (2+3)w(1,-1) + (-3-1)w(2,-2) = -1 - 5 + 4 = -2
         assert report.checked_count == 34
+
+
+@st.composite
+def windowed_oracles(draw):
+    """A window 0..6 and an oracle to sweep on it.
+
+    Either a random table, sparse or dense, with values of denominators 1..7
+    (mostly not a cocycle), or r * VIRASORO + d(beta) composed from oracles,
+    optionally plus one shifted pair inside the table window.
+    """
+    window = draw(st.integers(0, 6))
+    rng = draw(st.randoms(use_true_random=False))
+    if draw(st.booleans()):
+        table_window = draw(st.integers(0, 2 * window + 1))
+        density = draw(st.sampled_from([0.02, 0.1, 0.5, 1.0]))
+        entries = {(m, n): Fraction(rng.randint(-6, 6), rng.randint(1, 7))
+                   for m in range(-table_window, table_window + 1)
+                   for n in range(m + 1, table_window + 1) if rng.random() < density}
+        return co.CocycleOracle(lambda m, n: entries.get((m, n), 0)), window
+    omega = draw(scalars) * co.VIRASORO + co.coboundary(co.OneCochain(6, draw(one_cochain_values())))
+    if draw(st.booleans()):
+        m = rng.randint(-window, window)
+        n = rng.randint(-window, window)
+        shift = draw(scalars)
+        omega = omega + co.CocycleOracle(lambda a, b: shift if (a, b) == (m, n) else 0)
+    return omega, window
+
+
+class TestSlabEngine:
+    @settings(max_examples=80, deadline=None)
+    @given(windowed_oracles())
+    def test_report_matches_fraction_triple_loop(self, case):
+        omega, window = case
+        report = co.check_cocycle_identity(omega, window)
+        assert ((report.status, report.checked_count, report.counterexample)
+                == cocycle_identity_reference(omega, window))
+
+    def test_window_zero_is_the_single_instance_at_the_origin(self):
+        oracle = co.parse_cocycle_table(SIGN_TABLE)
+        report = co.check_cocycle_identity(oracle, 0)
+        assert (report.status, report.checked_count) == ("pass", 1)
+        assert cocycle_identity_reference(oracle, 0) == ("pass", 1, None)
+
+    def test_rank_counts_the_skipped_slabs(self):
+        # omega is nonzero only on the slab s = 5, which no triple of the rows
+        # n = -3, -2 reaches and which holds on the row n = -1 (m = k = 3); the
+        # first defect, (0 - 2) w(3, 2) + (3 - 0) w(2, 3) = 5 at (0, 2, 3), has
+        # rank 3 * 7**2 + 5 * 7 + 6 + 1 = 189.
+        oracle = co.parse_cocycle_table("window\t3\n2\t3\t1\n")
+        report = co.check_cocycle_identity(oracle, 3)
+        assert report.to_text() == (
+            "FAIL cocycle-identity cocycle='table(window=3)' window=3 checked_count=189 "
+            "counterexample.actual=5 counterexample.expected=0 counterexample.indices.k=3 "
+            "counterexample.indices.m=2 counterexample.indices.n=0")
+        assert ((report.status, report.checked_count, report.counterexample)
+                == cocycle_identity_reference(oracle, 3))
 
 
 class TestReduce:

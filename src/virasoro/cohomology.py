@@ -10,7 +10,7 @@ witness certifies (non)triviality.
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
+from bisect import bisect_right
 from fractions import Fraction
 from itertools import product
 from pathlib import Path
@@ -38,63 +38,32 @@ class CocycleIdentityError(ValueError):
             f"(n={indices['n']}, m={indices['m']}, k={indices['k']})")
 
 
-class OneCochain:
-    """Linear functional on the Witt algebra, stored as a sparse table.
+class OneCochain(FreeVector):
+    """Linear functional on the Witt algebra: the vector of its values on l(n).
 
-    Only indices with |n| <= window may carry nonzero values; the functional
-    itself is total, with value 0 everywhere outside the table.
+    The module is (window,): only indices with |n| <= window may carry
+    nonzero values, and cochains of one window combine linearly.  The
+    functional itself is total, with value 0 everywhere outside the table.
     """
 
-    __slots__ = ("window", "_values")
+    __slots__ = ()
+    parameters, noun = ("window",), "window"
 
     def __init__(self, window: int, values: Mapping | Iterable | None = None):
         if window < 0:
             raise ValueError("window must be nonnegative")
-        table: dict[int, Fraction] = {}
-        if values is not None:
-            items = values.items() if hasattr(values, "items") else values
-            for n, raw in items:
-                value = as_scalar(raw)
-                if not value:
-                    continue
-                if abs(n) > window:
-                    raise ValueError(f"entry at index {n} outside window {window}")
-                table[n] = table.get(n, ZERO) + value
-                if not table[n]:
-                    del table[n]
-        self.window = window
-        self._values = table
+        super().__init__(values)
+        for n in self._num:
+            if abs(n) > window:
+                raise ValueError(f"entry at index {n} outside window {window}")
+        self.module = (window,)
 
-    def value(self, n: int) -> Fraction:
-        return self._values.get(n, ZERO)
+    value = FreeVector.coeff
 
     def apply(self, v: FreeVector) -> Fraction:
-        return sum((coeff * self._values[n] for n, coeff in v.items() if n in self._values),
-                   start=ZERO)
-
-    def items(self) -> list[tuple[int, Fraction]]:
-        return sorted(self._values.items())
-
-    def __add__(self, other: "OneCochain") -> "OneCochain":
-        merged = dict(self._values)
-        for n, value in other._values.items():
-            merged[n] = merged.get(n, ZERO) + value
-        return OneCochain(max(self.window, other.window), merged)
-
-    def __neg__(self) -> "OneCochain":
-        return OneCochain(self.window, {n: -value for n, value in self._values.items()})
-
-    def __rmul__(self, scalar) -> "OneCochain":
-        scalar = as_scalar(scalar)
-        return OneCochain(self.window, {n: scalar * value for n, value in self._values.items()})
-
-    def __eq__(self, other):
-        if not isinstance(other, OneCochain):
-            return NotImplemented
-        return self.window == other.window and self._values == other._values
-
-    def __repr__(self):
-        return f"OneCochain(window={self.window}, values={dict(self.items())!r})"
+        get = self._num.get
+        return Fraction(sum(value * get(n, 0) for n, value in v._num.items()),
+                        self._den * v._den)
 
 
 class CocycleOracle:
@@ -155,7 +124,10 @@ def check_cocycle_identity(omega: CocycleOracle, window: int) -> VerificationRep
     other slabs are swept.  omega is tabulated once on |a| <= window,
     |b| <= 2 * window as integer numerators over one denominator.  Triples
     are ranked in lexicographic order of (n, m, k); the first failing one is
-    the counterexample, and its rank the checked count.
+    the counterexample, and its rank the checked count.  The defect is
+    alternating in (n, m, k), so the failing triples are the permutations of
+    failing triples n < m < k, and the first of them is ascending: only
+    ascending triples are swept.
     """
     parameters = {"window": str(window), "cocycle": omega.description}
     side = 2 * window + 1
@@ -169,10 +141,10 @@ def check_cocycle_identity(omega: CocycleOracle, window: int) -> VerificationRep
         rows.setdefault(s, [0] * side)[a] = value
     slabs = sorted(rows)
     for n in indices:
-        for m in indices:
+        for m in range(n + 1, window + 1):
             t = n + m
-            # ascending s is ascending k = s - t; only slabs with |k| <= window
-            for s in slabs[bisect_left(slabs, t - window):bisect_right(slabs, t + window)]:
+            # ascending s is ascending k = s - t; only slabs with m < k <= window
+            for s in slabs[bisect_right(slabs, t + m):bisect_right(slabs, t + window)]:
                 f = rows[s]
                 k = s - t
                 defect = (m - k) * f[n] + (k - n) * f[m] + (n - m) * f[k]

@@ -84,13 +84,21 @@ class FreeVector:
     terms (`gcd(_den, *_num.values()) == 1`, and 1 for the zero vector);
     zero numerators are never stored, so equality is structural.  `coeff`
     and `items` return Fractions.  `module` holds the exact parameters of
-    the module the vector lies in, empty for a plain vector; every operation
+    the module the vector lies in, empty for a plain vector; a subclass
+    names them in `parameters` (each readable as an attribute) and calls
+    them its `noun` when two vectors disagree on them.  Every operation
     returns a vector of its operand's class and module, and vectors combine
     only within one class and module.  Instances are treated as immutable;
     every operation returns a new vector.
     """
 
     __slots__ = ("_num", "_den", "module")
+    parameters: tuple[str, ...] = ()
+    noun = "module"
+
+    def __init_subclass__(cls):
+        for position, name in enumerate(cls.parameters):
+            setattr(cls, name, property(lambda self, position=position: self.module[position]))
 
     def __init__(self, coeffs: Mapping | Iterable | None = None):
         table: dict = {}
@@ -269,19 +277,13 @@ class ModuleVector(FreeVector):
 
     The coefficients map partitions to scalars: (p_m >= ... >= p_1) stands
     for X(-p_m)...X(-p_1) applied to the generating vector, X being the
-    generator letter.  A subclass declares `parameters`, the names of the
-    values its constructor takes before the terms (each readable as an
-    attribute); `noun`, what those values are called when two vectors
-    disagree on them; and the `letter` and `ket` it renders with.
+    generator letter.  A subclass declares its `parameters`, the values its
+    constructor takes before the terms; its `noun`; and the `letter` and
+    `ket` it renders with.
     """
 
     __slots__ = ()
-    parameters: tuple[str, ...] = ()
-    noun = letter = ket = ""
-
-    def __init_subclass__(cls):
-        for position, name in enumerate(cls.parameters):
-            setattr(cls, name, property(lambda self, position=position: self.module[position]))
+    letter = ket = ""
 
     def __init__(self, *values):
         *module, terms = values

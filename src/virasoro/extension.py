@@ -1,6 +1,6 @@
 """Central extensions built from 2-cocycles.
 
-An extension element is a pair (body, center).  The bracket
+An extension element is a vector X + A * C, written (X, A).  The bracket
     [(X, A), (Y, B)] = ([X, Y], omega(X, Y))
 ignores the incoming center components; the center is spanned by C = emb(1).
 Two concrete instances matter here: the Witt algebra with the Virasoro
@@ -13,6 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
 from itertools import chain, product
+from math import gcd, lcm
 from typing import Callable
 
 from . import witt
@@ -42,42 +43,38 @@ def heisenberg_cocycle(k: int, l: int) -> Fraction:
 HEISENBERG = CocycleOracle(heisenberg_cocycle, "heisenberg")
 
 
-@dataclass(frozen=True)
-class ExtElement:
-    body: FreeVector
-    center: Fraction
+class ExtElement(FreeVector):
+    """Element X + a * C of a central extension: one vector whose index (n,)
+    stands for l(n) and () for C, so that all indices are mutually sortable.
+    body and center are read-only views of the two parts."""
 
-    def __post_init__(self):
-        object.__setattr__(self, "center", as_scalar(self.center))
+    __slots__ = ()
 
-    def is_zero(self) -> bool:
-        return self.body.is_zero() and not self.center
+    def __init__(self, body: FreeVector, center=ZERO):
+        # both parts are in lowest terms, so their union over the lcm is too
+        center = as_scalar(center)
+        self._den = lcm(body._den, center.denominator)
+        scale = self._den // body._den
+        self._num = {(n,): scale * value for n, value in body._num.items()}
+        if center:
+            self._num[()] = center.numerator * (self._den // center.denominator)
+        self.module = ()
 
-    def __add__(self, other):
-        if not isinstance(other, ExtElement):
-            return NotImplemented
-        return ExtElement(self.body + other.body, self.center + other.center)
+    @property
+    def body(self) -> FreeVector:
+        num = {key[0]: value for key, value in self._num.items() if key}
+        divisor = gcd(self._den, *num.values())
+        return FreeVector._wrap({n: value // divisor for n, value in num.items()},
+                                self._den // divisor)
 
-    def __sub__(self, other):
-        if not isinstance(other, ExtElement):
-            return NotImplemented
-        return ExtElement(self.body - other.body, self.center - other.center)
-
-    def __neg__(self):
-        return ExtElement(-self.body, -self.center)
-
-    def __mul__(self, scalar):
-        if not isinstance(scalar, (int, Fraction)):
-            return NotImplemented
-        scalar = as_scalar(scalar)
-        return ExtElement(scalar * self.body, scalar * self.center)
-
-    __rmul__ = __mul__
+    @property
+    def center(self) -> Fraction:
+        return self.coeff(())
 
 
 def emb(a) -> ExtElement:
     """Central element a * C."""
-    return ExtElement(FreeVector.zero(), as_scalar(a))
+    return ExtElement.basis((), a)
 
 
 def proj(u: ExtElement) -> FreeVector:
@@ -85,19 +82,23 @@ def proj(u: ExtElement) -> FreeVector:
 
 
 def std_section(x: FreeVector) -> ExtElement:
-    return ExtElement(x, ZERO)
+    return ExtElement(x)
 
 
 def ext_bracket(base: BaseAlgebra, omega: CocycleOracle,
                 u: ExtElement, v: ExtElement) -> ExtElement:
-    body = bilinear_extend(base.bracket_pair, u.body, v.body, FreeVector.zero())
-    center = bilinear_extend(omega, u.body, v.body, ZERO)
-    return ExtElement(body, center)
+    """[(X, A), (Y, B)] = ([X, Y], omega(X, Y)); C is central."""
+    zero = ExtElement.zero()
+
+    def pair(i: tuple, j: tuple) -> ExtElement:
+        return ExtElement(base.bracket_pair(*i, *j), omega(*i, *j)) if i and j else zero
+
+    return bilinear_extend(pair, u, v, zero)
 
 
 def twist_by_coboundary(beta: OneCochain, u: ExtElement) -> ExtElement:
     """(X, A) -> (X, A - beta(X)), the equivalence shifting a cocycle by d beta."""
-    return ExtElement(u.body, u.center - beta.apply(u.body))
+    return u - emb(beta.apply(u.body))
 
 
 def format_element(u: ExtElement) -> str:
@@ -177,11 +178,10 @@ def check_extension_predicate(base: BaseAlgebra, omega: CocycleOracle,
         for (label_u, u), (label_v, v) in product(labeled, repeat=2):
             indices = {"u": label_u, "v": label_v}
             yield mismatch(indices, -bracket(v, u), bracket(u, v), format_element, leg="bracket")
-            shifted_u = ExtElement(u.body, u.center + ONE)
-            shifted_v = ExtElement(v.body, v.center - ONE)
             yield mismatch(indices,
                            bilinear_extend(base.bracket_pair, proj(u), proj(v), FreeVector.zero()),
-                           proj(bracket(shifted_u, shifted_v)), witt.format_vector, leg="bracket")
+                           proj(bracket(u + central, v - central)), witt.format_vector,
+                           leg="bracket")
         for (label_u, u), (label_v, v), (label_w, w) in product(labeled, repeat=3):
             defect = (bracket(u, bracket(v, w)) + bracket(v, bracket(w, u))
                       + bracket(w, bracket(u, v)))

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import one_cochain_values, scalars
+from conftest import free_vectors, one_cochain_values, scalars
 from oracles import cocycle_identity_reference
 from virasoro import cohomology as co
 from virasoro.core import FreeVector
@@ -256,18 +256,27 @@ class TestWitness:
 
 
 class TestOneCochain:
-    def test_apply_is_linear(self):
+    @given(one_cochain_values(), free_vectors(max_terms=6), free_vectors(max_terms=6), scalars)
+    def test_apply_is_linear(self, values, v, w, a):
         beta = co.OneCochain(5, {1: Fraction(2), -3: Fraction(1, 2)})
-        v = FreeVector({1: Fraction(3), -3: Fraction(4), 0: Fraction(9)})
-        assert beta.apply(v) == Fraction(3) * Fraction(2) + Fraction(4) * Fraction(1, 2)
+        u = FreeVector({1: Fraction(3), -3: Fraction(4), 0: Fraction(9)})
+        assert beta.apply(u) == Fraction(3) * Fraction(2) + Fraction(4) * Fraction(1, 2)
+        # against a plain Fraction dot product, both sides with denominators
+        beta = co.OneCochain(6, values)
+        dot = sum((coeff * values.get(n, 0) for n, coeff in v.items()), start=Fraction(0))
+        assert beta.apply(v) == dot
+        assert beta.apply(v + a * w) == beta.apply(v) + a * beta.apply(w)
 
     def test_algebra(self):
-        a = co.OneCochain(3, {1: 1})
+        a = co.OneCochain(5, {1: 1})
         b = co.OneCochain(5, {1: 2, -2: 3})
         assert (a + b).window == 5
         assert (a + b).value(1) == 3
         assert (-a).value(1) == -1
         assert (Fraction(1, 2) * b).value(-2) == Fraction(3, 2)
+        # cochains combine within one window only
+        with pytest.raises(ValueError, match=r"cannot combine vectors of window \(3\) and \(5\)"):
+            co.OneCochain(3, {1: 1}) + b
 
     def test_window_enforced(self):
         with pytest.raises(ValueError, match="outside window"):

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from conftest import free_vectors, one_cochain_values, scalars
 from virasoro import cohomology as co
 from virasoro import extension as ext
+from virasoro import witt
 from virasoro.core import FreeVector
 
 
@@ -51,6 +52,15 @@ class TestExtElement:
         u = ext.ExtElement(FreeVector({3: 1}), Fraction(-2))
         assert ext.std_section(ext.proj(u)) + ext.emb(u.center) == u
 
+    def test_items_and_repr(self):
+        # C is the index (), l(n) the index (n,); the body is read back in lowest terms
+        u = ext.ExtElement(FreeVector({2: Fraction(1, 2), -1: 3}), Fraction(-2, 3))
+        assert u.items() == [((), Fraction(-2, 3)), ((-1,), Fraction(3)), ((2,), Fraction(1, 2))]
+        assert repr(u) == ("ExtElement({(): Fraction(-2, 3), (-1,): Fraction(3, 1), "
+                           "(2,): Fraction(1, 2)})")
+        assert u.body == FreeVector({2: Fraction(1, 2), -1: 3})
+        assert u.center == Fraction(-2, 3)
+
 
 class TestExtBracket:
     @pytest.mark.parametrize("m,n,central", [
@@ -76,6 +86,23 @@ class TestExtBracket:
         v = ext.ExtElement(y, 0)
         shifted = vir_bracket(u + ext.emb(a), v + ext.emb(b))
         assert shifted == vir_bracket(u, v)
+
+    @settings(max_examples=40)
+    @pytest.mark.parametrize("base", ["witt", "abelian"])
+    @given(free_vectors(max_terms=3), free_vectors(max_terms=3), scalars, scalars, scalars,
+           one_cochain_values())
+    def test_matches_reference(self, base, x, y, a, b, r, values):
+        if base == "witt":
+            algebra, omega = ext.WITT, r * co.VIRASORO + co.coboundary(co.OneCochain(6, values))
+            body = witt.bracket(x, y)
+        else:
+            algebra, omega, body = ext.ABELIAN, ext.HEISENBERG, FreeVector.zero()
+        center = sum((p * q * omega(m, n) for m, p in x.items() for n, q in y.items()),
+                     start=Fraction(0))
+        value = ext.ext_bracket(algebra, omega, ext.ExtElement(x, a), ext.ExtElement(y, b))
+        assert value.body == body
+        assert value.center == center
+        assert value == ext.ExtElement(body, center)
 
     @given(free_vectors(max_terms=3), free_vectors(max_terms=3))
     def test_antisymmetry(self, x, y):

@@ -122,37 +122,28 @@ def verify(kind, window, max_index, max_level, alpha, c, h, input_path,
     """
     if max_index is None and kind != "verma-hw":
         max_index = 4
-    reports: list[VerificationReport] = []
-    if kind == "witt-jacobi":
-        reports.append(witt.jacobi_basis_sweep(max_index))
-    elif kind == "cocycle":
-        oracle = _load_oracle(fmt, "cocycle-identity", use_virasoro, input_path)
-        reports.append(cohomology.check_cocycle_identity(oracle, window))
-    elif kind == "extension":
-        reports.append(extension.check_extension_predicate(
-            extension.WITT, cohomology.VIRASORO, max_index))
-        reports.append(extension.check_extension_predicate(
-            extension.ABELIAN, extension.HEISENBERG, max_index))
-    elif kind == "virasoro-constants":
-        reports.append(extension.check_virasoro_constants(max_index))
-    elif kind == "heisenberg":
-        reports.append(extension.check_heisenberg_constants(max_index))
-        reports.append(fock.check_heisenberg_relations(max_index, max_level, alpha, jobs))
-    elif kind == "primary-field":
-        reports.append(fock.check_primary_field(max_index, max_level, alpha, jobs))
-    elif kind == "normal-pair":
-        reports.append(fock.sweep_normal_pair(max_index, max_index, max_level, alpha, jobs))
-    elif kind == "sugawara":
-        reports.append(fock.check_sugawara_commutator(max_index, max_level, alpha, jobs))
-    elif kind == "verma":
-        reports.append(verma.check_verma_relations(max_index, max_level, c, h, jobs))
-    elif kind == "verma-hw":
-        reports.append(verma.verma_hw_check(c, h) if max_index is None
-                       else verma.verma_hw_check(c, h, max_index))
-    elif kind == "intertwine":
-        reports.append(verma.check_intertwining(alpha, max_index, max_level, jobs))
-    elif kind == "sum-identity":
-        reports.append(fock.check_weighted_sum(max_index))
+    sweeps = {
+        "witt-jacobi": lambda: [witt.jacobi_basis_sweep(max_index)],
+        "cocycle": lambda: [cohomology.check_cocycle_identity(
+            _load_oracle(fmt, "cocycle-identity", use_virasoro, input_path), window)],
+        "extension": lambda: [
+            extension.check_extension_predicate(extension.WITT, cohomology.VIRASORO, max_index),
+            extension.check_extension_predicate(extension.ABELIAN, extension.HEISENBERG,
+                                                max_index)],
+        "virasoro-constants": lambda: [extension.check_virasoro_constants(max_index)],
+        "heisenberg": lambda: [extension.check_heisenberg_constants(max_index),
+                               fock.check_heisenberg_relations(max_index, max_level, alpha, jobs)],
+        "primary-field": lambda: [fock.check_primary_field(max_index, max_level, alpha, jobs)],
+        "normal-pair": lambda: [
+            fock.sweep_normal_pair(max_index, max_index, max_level, alpha, jobs)],
+        "sugawara": lambda: [fock.check_sugawara_commutator(max_index, max_level, alpha, jobs)],
+        "verma": lambda: [verma.check_verma_relations(max_index, max_level, c, h, jobs)],
+        "verma-hw": lambda: [verma.verma_hw_check(c, h) if max_index is None
+                             else verma.verma_hw_check(c, h, max_index)],
+        "intertwine": lambda: [verma.check_intertwining(alpha, max_index, max_level, jobs)],
+        "sum-identity": lambda: [fock.check_weighted_sum(max_index)],
+    }
+    reports = sweeps[kind]()
     for report in reports:
         _emit_report(report, fmt)
     if any(not report.passed() for report in reports):

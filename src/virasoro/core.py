@@ -127,9 +127,7 @@ class FreeVector:
         """Sum of coeff/den * vector over (coeff, vector) pairs, coeff an int or a Fraction.
 
         Every pair is brought to the lcm of the pair denominators, the
-        numerators are added as integers, and the sum is reduced once.  The
-        arithmetic operators call it directly, so linear_combination stays
-        the layer of operator applications that bench/child.py traces.
+        numerators are added as integers, and the sum is reduced once.
         """
         scaled, common = [], 1
         for coeff, vector in pairs:
@@ -150,14 +148,19 @@ class FreeVector:
                 p *= common // q
                 for index, value in vector._num.items():
                     table[index] = get(index, 0) + p * value
-            if 0 in table.values():
-                table = {index: value for index, value in table.items() if value}
-        if common != 1:
-            divisor = gcd(common, *table.values())
+        return cls._reduce(table, common, module)
+
+    @classmethod
+    def _reduce(cls, table: dict, den: int, module: tuple = ()) -> "FreeVector":
+        """The vector of integer numerators `table` over `den`, zeros dropped, in lowest terms."""
+        if 0 in table.values():
+            table = {index: value for index, value in table.items() if value}
+        if den != 1:
+            divisor = gcd(den, *table.values())
             if divisor != 1:
-                common //= divisor
+                den //= divisor
                 table = {index: value // divisor for index, value in table.items()}
-        return cls._wrap(table, common, module)
+        return cls._wrap(table, den, module)
 
     @classmethod
     def zero(cls) -> "FreeVector":
@@ -224,9 +227,21 @@ class FreeVector:
 
 def linear_extend(basis_map: Callable, vector: FreeVector) -> FreeVector:
     """Apply a basis-indexed map index -> FreeVector linearly, within vector's module."""
-    return type(vector).linear_combination(
-        ((value, basis_map(index)) for index, value in vector._num.items()),
-        vector.module, vector._den)
+    if vector._den == 1 and len(vector._num) == 1 and 1 in vector._num.values():
+        image = basis_map(*vector._num)   # a basis vector's image; numerator tables are shared
+        return type(vector)._wrap(image._num, image._den, vector.module)
+    table, den = {}, 1
+    get = table.get
+    for index, value in vector._num.items():
+        image = basis_map(index)
+        if den % image._den:   # one pass: rescale the partial sum when the lcm grows
+            grown = lcm(den, image._den)
+            table = {key: grown // den * entry for key, entry in table.items()}
+            get, den = table.get, grown
+        value *= den // image._den
+        for key, entry in image._num.items():
+            table[key] = get(key, 0) + value * entry
+    return type(vector)._reduce(table, den * vector._den, vector.module)
 
 
 def bilinear_extend(pair_map: Callable, left: FreeVector, right: FreeVector, zero):

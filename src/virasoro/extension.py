@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
 from itertools import chain, product
-from math import gcd, lcm
+from math import lcm
 from typing import Callable
 
 from . import witt
@@ -62,10 +62,8 @@ class ExtElement(FreeVector):
 
     @property
     def body(self) -> FreeVector:
-        num = {key[0]: value for key, value in self._num.items() if key}
-        divisor = gcd(self._den, *num.values())
-        return FreeVector._wrap({n: value // divisor for n, value in num.items()},
-                                self._den // divisor)
+        return FreeVector._reduce({key[0]: value for key, value in self._num.items() if key},
+                                  self._den)
 
     @property
     def center(self) -> Fraction:

@@ -86,11 +86,7 @@ def j_action(k: int, v: FockVector) -> FockVector:
 
 def truncation_bound(v: FockVector) -> int:
     """Least N >= 1 with J(l) v = 0 for every l >= N: one past the largest part."""
-    best = 0
-    for partition in v.support():
-        if partition and partition[0] > best:
-            best = partition[0]
-    return best + 1
+    return 1 + max((partition[0] for partition in v._num if partition), default=0)
 
 
 def normal_pair(k: int, l: int, v: FockVector) -> FockVector:
@@ -109,8 +105,8 @@ def _sugawara_basis(n: int, partition: Partition, alpha: tuple[int, int]) -> Fre
     """1/2 * sum of :J(n-k)J(k): on one basis vector, multiplied out of the J columns."""
     bound = partition[0] + 1 if partition else 1
     # As in normal_pair, the higher index acts first.
-    firsts = [(_j_basis(max(n - k, k), partition, alpha), min(n - k, k))
-              for k in range(n - bound + 1, bound)]
+    firsts = [(first, min(n - k, k)) for k in range(n - bound + 1, bound)
+              if (first := _j_basis(max(n - k, k), partition, alpha))._num]
     den = lcm(*(first._den for first, _ in firsts))
     return FreeVector.linear_combination(
         [(value * (den // first._den), _j_basis(second, middle, alpha))
@@ -176,9 +172,9 @@ def check_primary_field(max_index: int, max_level: int, alpha,
 def _normal_pair_commutator(n, m, k, v):
     indicator = (0 <= k < -n) - (-n <= k < 0) if n + m == 0 else 0
     lhs = sugawara_l(n, normal_pair(m - k, k, v)) - normal_pair(m - k, k, sugawara_l(n, v))
-    rhs = (-k * normal_pair(m - k, n + k, v)
-           - (m - k) * normal_pair(n + m - k, k, v)
-           + k * (n + k) * indicator * v)
+    rhs = FockVector.linear_combination([(-k, normal_pair(m - k, n + k, v)),
+                                         (k - m, normal_pair(n + m - k, k, v)),
+                                         (k * (n + k) * indicator, v)], v.module)
     return lhs, rhs
 
 
@@ -210,7 +206,7 @@ def sweep_normal_pair(max_index: int, max_k: int, max_level: int, alpha,
 def _sugawara_commutator(n, m, v):
     central = Fraction(n**3 - n, 12) if n + m == 0 else ZERO
     return (sugawara_l(n, sugawara_l(m, v)) - sugawara_l(m, sugawara_l(n, v)),
-            (n - m) * sugawara_l(n + m, v) + central * v)
+            FockVector.linear_combination([(n - m, sugawara_l(n + m, v)), (central, v)], v.module))
 
 
 def check_sugawara_commutator(max_index: int, max_level: int, alpha,

@@ -110,7 +110,7 @@ def _depth(a: int, partition: Partition, c: tuple[int, int], h: tuple[int, int])
 def _relations(n, m, v):
     central = Fraction(n**3 - n, 12) * v.c if n + m == 0 else ZERO
     return (l_action(n, l_action(m, v)) - l_action(m, l_action(n, v)),
-            (n - m) * l_action(n + m, v) + central * v)
+            VermaVector.linear_combination([(n - m, l_action(n + m, v)), (central, v)], v.module))
 
 
 def check_verma_relations(max_index: int, max_level: int, c, h,

@@ -262,6 +262,18 @@ class TestExtensions:
         double = linear_extend(lambda n: FreeVector.basis(n, 2), FreeVector({1: 1, 3: -1}))
         assert double == FreeVector({1: 2, 3: -2})
 
+    def test_linear_extend_basis_vector_and_growing_denominators(self):
+        images = {(1,): FreeVector({(2,): Fraction(1, 2)}),
+                  (2,): FreeVector({(2,): Fraction(1, 3), (3,): 1})}
+        unit = fock.basis(ALPHA, (1,))
+        image = linear_extend(images.get, unit)
+        assert type(image) is fock.FockVector and image.module == unit.module
+        assert image == fock.FockVector(ALPHA, {(2,): Fraction(1, 2)})
+        mixed = linear_extend(images.get, fock.FockVector(ALPHA, {(1,): 3, (2,): Fraction(3, 5)}))
+        assert mixed == fock.FockVector(ALPHA, {(2,): Fraction(3, 2) + Fraction(1, 5),
+                                                (3,): Fraction(3, 5)})
+        assert mixed._den == 10 and mixed._num == {(2,): 17, (3,): 6}
+
     def test_bilinear_extend_scalar_target(self):
         pairing = bilinear_extend(lambda m, n: Fraction(m * n),
                                   FreeVector({1: 2}), FreeVector({3: 1, 4: 1}),

@@ -258,6 +258,41 @@ def bilinear_extend(pair_map: Callable, left: FreeVector, right: FreeVector, zer
     return acc if den == 1 else acc * Fraction(1, den)
 
 
+class BracketTable(dict):
+    """The brackets of basis pairs, entry (i, j) computed by pair(i, j) on first use.
+
+    A bracket is bilinear, so [e_i, v] is the combination of the entries
+    (i, j) over v's support with v's coefficients; `jacobi_defect` adds the
+    three outer brackets of a basis triple that way, in one integer pass as
+    `linear_extend` does, into a vector of class `cls`.
+    """
+
+    def __init__(self, cls: type, pair: Callable):
+        super().__init__()
+        self.cls, self.pair = cls, pair
+
+    def __missing__(self, key):
+        value = self[key] = self.pair(*key)
+        return value
+
+    def jacobi_defect(self, i, j, k) -> FreeVector:
+        """[e_i, [e_j, e_k]] + [e_j, [e_k, e_i]] + [e_k, [e_i, e_j]]."""
+        table, den = {}, 1
+        get = table.get
+        for outer, inner in ((i, self[j, k]), (j, self[k, i]), (k, self[i, j])):
+            for index, value in inner._num.items():
+                column = self[outer, index]
+                q = inner._den * column._den
+                if den % q:   # rescale the partial sum when the lcm grows
+                    grown = lcm(den, q)
+                    table = {key: grown // den * entry for key, entry in table.items()}
+                    get, den = table.get, grown
+                value *= den // q
+                for key, entry in column._num.items():
+                    table[key] = get(key, 0) + value * entry
+        return self.cls._reduce(table, den)
+
+
 def as_pair(value: int | Fraction) -> tuple[int, int]:
     """Numerator and denominator of an exact scalar: a cache key that hashes ints."""
     return value.numerator, value.denominator

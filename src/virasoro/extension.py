@@ -18,7 +18,8 @@ from typing import Callable
 
 from . import witt
 from .cohomology import CocycleOracle, OneCochain, virasoro_cocycle
-from .core import ONE, ZERO, FreeVector, as_scalar, bilinear_extend, format_scalar
+from .core import (ONE, ZERO, BracketTable, FreeVector, as_scalar, bilinear_extend,
+                   format_scalar)
 from .reports import VerificationReport, first_counterexample, mismatch
 
 
@@ -154,37 +155,38 @@ def check_extension_predicate(base: BaseAlgebra, omega: CocycleOracle,
             projecting it recovers the base bracket of the projections
             (checked on center-shifted pairs, so the centers are ignored);
       (iii) sections: proj(std_section(x)) = x and proj(emb(1)) = 0.
+    Each basis-pair bracket is computed once; the Jacobi defects are read off
+    those brackets by bilinearity.
     """
     parameters = {"max_index": str(max_index), "base": base.name,
                   "cocycle": omega.description}
     central, zero = emb(ONE), emb(ZERO)
-    labeled = [("C", central)] + [(str(n), _gen(n)) for n in range(-max_index, max_index + 1)]
-
-    def bracket(u, v):
-        return ext_bracket(base, omega, u, v)
+    # labels and basis indices of C and of l(n) on the window
+    labeled = [("C", ())] + [(str(n), (n,)) for n in range(-max_index, max_index + 1)]
+    table = BracketTable(ExtElement, lambda i, j: ext_bracket(
+        base, omega, ExtElement.basis(i), ExtElement.basis(j)))
 
     def outcomes():
         # (i) centrality
-        for label, u in labeled:
-            for left, right, side in ((central, u, "C"), (u, central, label)):
-                yield mismatch({"u": label, "left": side}, zero, bracket(left, right),
-                               format_element, leg="centrality")
+        for label, i in labeled:
+            for key, side in ((((), i), "C"), ((i, ()), label)):
+                yield mismatch({"u": label, "left": side}, zero, table[key], format_element,
+                               leg="centrality")
 
         # (ii) bracket compatibility
-        for label, u in labeled:
-            yield mismatch({"u": label}, zero, bracket(u, u), format_element, leg="bracket")
-        for (label_u, u), (label_v, v) in product(labeled, repeat=2):
+        for label, i in labeled:
+            yield mismatch({"u": label}, zero, table[i, i], format_element, leg="bracket")
+        for (label_u, i), (label_v, j) in product(labeled, repeat=2):
             indices = {"u": label_u, "v": label_v}
-            yield mismatch(indices, -bracket(v, u), bracket(u, v), format_element, leg="bracket")
+            yield mismatch(indices, -table[j, i], table[i, j], format_element, leg="bracket")
+            u, v = ExtElement.basis(i), ExtElement.basis(j)
             yield mismatch(indices,
                            bilinear_extend(base.bracket_pair, proj(u), proj(v), FreeVector.zero()),
-                           proj(bracket(u + central, v - central)), witt.format_vector,
-                           leg="bracket")
-        for (label_u, u), (label_v, v), (label_w, w) in product(labeled, repeat=3):
-            defect = (bracket(u, bracket(v, w)) + bracket(v, bracket(w, u))
-                      + bracket(w, bracket(u, v)))
-            yield mismatch({"u": label_u, "v": label_v, "w": label_w}, zero, defect,
-                           format_element, leg="bracket")
+                           proj(ext_bracket(base, omega, u + central, v - central)),
+                           witt.format_vector, leg="bracket")
+        for (label_u, i), (label_v, j), (label_w, k) in product(labeled, repeat=3):
+            yield mismatch({"u": label_u, "v": label_v, "w": label_w}, zero,
+                           table.jacobi_defect(i, j, k), format_element, leg="bracket")
 
         # (iii) sections
         for n in range(-max_index, max_index + 1):

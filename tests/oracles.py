@@ -14,10 +14,14 @@ partition encoding: word (-p1, ..., -pm) <-> partition (p1 >= ... >= pm).
 
 The cocycle identity's reference is the plain Fraction loop over every
 triple, without the slab skip or the integer table of the library sweep.
+The Jacobi sweeps' references bracket every triple afresh, nesting
+brackets of plain {index: Fraction} dicts; the reduction residual's
+reference compares every ordered pair of the window.
 """
 
 from collections import defaultdict
 from fractions import Fraction
+from itertools import product
 
 
 def virasoro_rule(c):
@@ -124,3 +128,113 @@ def cocycle_identity_reference(omega, window):
                         "actual": str(defect),
                     }
     return "pass", checked, None
+
+
+def _bracket(pair, x, y):
+    """Bilinear extension to dict vectors of pair(i, j) -> {index: Fraction}."""
+    out = defaultdict(Fraction)
+    for i, a in x.items():
+        for j, b in y.items():
+            for index, value in pair(i, j).items():
+                out[index] += a * b * value
+    return {index: value for index, value in out.items() if value}
+
+
+def _combine(*terms):
+    """Sum of coefficient * vector over (coefficient, dict vector) terms, zeros dropped."""
+    out = defaultdict(Fraction)
+    for coefficient, vector in terms:
+        for index, value in vector.items():
+            out[index] += coefficient * value
+    return {index: value for index, value in out.items() if value}
+
+
+def _jacobi(bracket, x, y, z):
+    return _combine((1, bracket(x, bracket(y, z))), (1, bracket(y, bracket(z, x))),
+                    (1, bracket(z, bracket(x, y))))
+
+
+def _format_witt(vector):
+    return " + ".join(f"{vector[n]}·l({n})" for n in sorted(vector)) or "0"
+
+
+def _first_failure(instances):
+    """(status, checked_count, counterexample) over (indices, expected, actual, render, extra)."""
+    checked = 0
+    for indices, expected, actual, render, extra in instances:
+        checked += 1
+        if expected != actual:
+            record = {"indices": {key: str(value) for key, value in indices.items()},
+                      "expected": render(expected), "actual": render(actual)}
+            return "fail", checked, {**record, **extra}
+    return "pass", checked, None
+
+
+def witt_jacobi_reference(pair, window):
+    """The Witt Jacobi sweep as a triple-bracket loop over (m, n, k) in lexicographic order.
+
+    pair(m, n) is [l(m), l(n)] as {index: Fraction}.
+    """
+    indices = range(-window, window + 1)
+
+    def bracket(x, y):
+        return _bracket(pair, x, y)
+
+    return _first_failure(
+        ({"m": m, "n": n, "k": k}, {}, _jacobi(bracket, {m: 1}, {n: 1}, {k: 1}), _format_witt, {})
+        for m, n, k in product(indices, repeat=3))
+
+
+def extension_predicate_reference(pair, omega, window):
+    """The extension predicate's legs, every bracket computed afresh.
+
+    pair(m, n) is the base bracket as {index: Fraction} and omega(m, n) the
+    cocycle; an element is a dict in which "C" indexes the central element.
+    """
+    def ext_pair(i, j):
+        if "C" in (i, j):
+            return {}
+        return _combine((1, pair(i, j)), (1, {"C": omega(i, j)}))
+
+    def bracket(x, y):
+        return _bracket(ext_pair, x, y)
+
+    def body(x):
+        return {n: value for n, value in x.items() if n != "C"}
+
+    def render(x):
+        return f"{_format_witt(body(x))} ⊕ {x.get('C', 0)}·C"
+
+    central = {"C": Fraction(1)}
+    labeled = [("C", central)] + [(str(n), {n: Fraction(1)}) for n in range(-window, window + 1)]
+
+    def instances():
+        for label, u in labeled:
+            for left, right, side in ((central, u, "C"), (u, central, label)):
+                yield ({"u": label, "left": side}, {}, bracket(left, right), render,
+                       {"leg": "centrality"})
+        bracket_leg = {"leg": "bracket"}
+        for label, u in labeled:
+            yield {"u": label}, {}, bracket(u, u), render, bracket_leg
+        for (label_u, u), (label_v, v) in product(labeled, repeat=2):
+            indices = {"u": label_u, "v": label_v}
+            yield indices, _combine((-1, bracket(v, u))), bracket(u, v), render, bracket_leg
+            shifted = bracket(_combine((1, u), (1, central)), _combine((1, v), (-1, central)))
+            yield (indices, _bracket(pair, body(u), body(v)), body(shifted), _format_witt,
+                   bracket_leg)
+        for (label_u, u), (label_v, v), (label_w, w) in product(labeled, repeat=3):
+            yield ({"u": label_u, "v": label_v, "w": label_w}, {}, _jacobi(bracket, u, v, w),
+                   render, bracket_leg)
+        for n in range(-window, window + 1):
+            yield {"n": n}, {n: 1}, body({n: 1}), _format_witt, {"leg": "section"}
+        yield {"u": "C"}, {}, body(central), _format_witt, {"leg": "section"}
+
+    return _first_failure(instances())
+
+
+def residual_reference(expected, actual, window):
+    """The reduction residual compared on every ordered pair (m, n), lexicographically."""
+    indices = range(-window, window + 1)
+    return _first_failure(
+        ({"m": m, "n": n}, expected(m, n), actual(m, n), str, {})
+        for m, n in product(indices, repeat=2))

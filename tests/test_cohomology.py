@@ -1,12 +1,13 @@
 import random
 from fractions import Fraction
+from unittest.mock import patch
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import free_vectors, one_cochain_values, scalars
-from oracles import cocycle_identity_reference
+from conftest import free_vectors, indices, one_cochain_values, scalars
+from oracles import cocycle_identity_reference, residual_reference
 from virasoro import cohomology as co
 from virasoro.core import FreeVector
 
@@ -217,6 +218,25 @@ class TestReduce:
             "FAIL cocycle-reduction-residual cocycle=virasoro r=1 window=4 checked_count=9 "
             "counterexample.actual=-5 counterexample.expected=-5/2 "
             "counterexample.indices.m=-4 counterexample.indices.n=4")
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(2, 4), scalars, one_cochain_values(), st.just(1) | scalars,
+           st.dictionaries(st.tuples(indices, indices), scalars, max_size=3))
+    def test_residual_matches_full_grid(self, window, r0, values, factor, shifts):
+        # the residual compares with virasoro_cocycle, patched here to another
+        # odd function: a multiple plus antisymmetric shifts at a few pairs
+        original = co.virasoro_cocycle
+
+        def patched(m, n):
+            shift = shifts.get((m, n), 0) - shifts.get((n, m), 0)
+            return factor * original(m, n) + shift
+
+        omega = r0 * co.VIRASORO + co.coboundary(co.OneCochain(6, values))
+        with patch.object(co, "virasoro_cocycle", patched):
+            beta, r, report = co.reduce_cocycle(omega, window)
+        expected = residual_reference(lambda m, n: r * patched(m, n),
+                                      omega + co.coboundary(beta), window)
+        assert (report.status, report.checked_count, report.counterexample) == expected
 
     def test_rejects_identity_violation(self):
         oracle = co.parse_cocycle_table(SIGN_TABLE)

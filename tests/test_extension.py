@@ -2,8 +2,10 @@ from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import free_vectors, one_cochain_values, scalars
+from oracles import extension_predicate_reference
 from virasoro import cohomology as co
 from virasoro import extension as ext
 from virasoro import witt
@@ -181,6 +183,72 @@ class TestExtensionPredicate:
         assert report.counterexample == {
             "indices": {"u": "-3", "v": "1", "w": "2"}, "leg": "bracket",
             "expected": "0 ⊕ 0·C", "actual": "0 ⊕ -2·C"}
+
+
+    def test_each_basis_bracket_is_computed_once(self, monkeypatch):
+        calls = []
+        original = ext.ext_bracket
+
+        def counted(*args):
+            calls.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(ext, "ext_bracket", counted)
+        report = ext.check_extension_predicate(ext.WITT, co.VIRASORO, 3)
+        assert report.status == "pass"
+        # N = 8 labeled elements: the table holds the N^2 labeled pairs, the
+        # projection leg brackets N^2 center-shifted pairs, and the outer
+        # brackets add l(s) for 3 < |s| <= 5 next to each of the N elements.
+        # Bracketing every Jacobi instance afresh made 6 N^3 = 3,072 calls.
+        assert len(calls) == 64 + 64 + 8 * 4
+
+
+@st.composite
+def extension_cases(draw):
+    """A window 0..3 and a base algebra with a pairing to run the predicate on.
+
+    Either the Witt bracket changed at one basis pair (sometimes into itself)
+    with the Virasoro cocycle, or the Witt or abelian bracket with a random
+    table (on windows of two and more mostly not a cocycle) or with
+    r * VIRASORO + d(beta), optionally shifted at one pair.  The predicate
+    reads brackets of a window index with indices up to twice the window, and
+    the changes lie there.
+    """
+    window = draw(st.integers(0, 3))
+    inner, outer = st.integers(-window, window), st.integers(-2 * window, 2 * window)
+    kind = draw(st.sampled_from(["base", "table", "shifted"]))
+    if kind == "base":
+        m, n = draw(inner), draw(outer)
+        image = witt.bracket_pair(m, n) + draw(free_vectors(max_terms=2, index_bound=2 * window))
+        broken = ext.BaseAlgebra(
+            "broken", lambda a, b: image if (a, b) == (m, n) else witt.bracket_pair(a, b))
+        return window, broken, co.VIRASORO
+    base = draw(st.sampled_from([ext.WITT, ext.ABELIAN]))
+    if kind == "table":
+        rng = draw(st.randoms(use_true_random=False))
+        density = draw(st.sampled_from([0.05, 0.2, 1.0]))
+        entries = {(m, n): Fraction(rng.randint(-6, 6), rng.randint(1, 7))
+                   for m in range(-2 * window, 2 * window + 1)
+                   for n in range(m + 1, 2 * window + 1) if rng.random() < density}
+        return window, base, co.CocycleOracle(lambda m, n: entries.get((m, n), 0), "table")
+    omega = draw(scalars) * co.VIRASORO + co.coboundary(co.OneCochain(6, draw(one_cochain_values())))
+    if draw(st.booleans()):
+        # the oracle consults its rule on ordered pairs only
+        m = draw(inner)
+        n, shift = draw(st.integers(m + 1, max(m + 1, 2 * window))), draw(scalars.filter(bool))
+        omega = omega + co.CocycleOracle(lambda a, b: shift if (a, b) == (m, n) else 0)
+    return window, base, omega
+
+
+class TestPredicateAgainstReference:
+    @settings(max_examples=60, deadline=None)
+    @given(extension_cases())
+    def test_report_matches_per_instance_brackets(self, case):
+        window, base, omega = case
+        report = ext.check_extension_predicate(base, omega, window)
+        expected = extension_predicate_reference(
+            lambda m, n: dict(base.bracket_pair(m, n).items()), omega, window)
+        assert (report.status, report.checked_count, report.counterexample) == expected
 
 
 class TestTwist:

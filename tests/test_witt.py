@@ -1,9 +1,12 @@
 from fractions import Fraction
+from unittest.mock import patch
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import free_vectors
+from oracles import witt_jacobi_reference
 from virasoro import witt
 from virasoro.core import FreeVector
 
@@ -63,6 +66,33 @@ class TestJacobi:
             "FAIL witt-jacobi max_index=2 checked_count=1 counterexample.actual='72·l(-6)' "
             "counterexample.expected=0 counterexample.indices.k=-2 "
             "counterexample.indices.m=-2 counterexample.indices.n=-2")
+
+
+@st.composite
+def corrupted_brackets(draw):
+    """A window 0..3 and the Witt bracket with one basis pair changed, often into itself.
+
+    The pair lies where the sweep reads brackets: both indices within twice
+    the window.
+    """
+    window = draw(st.integers(0, 3))
+    pair = st.integers(-2 * window, 2 * window)
+    m, n = draw(pair), draw(pair)
+    image = draw(st.one_of(free_vectors(max_terms=2, index_bound=2 * window),
+                           st.just(witt.bracket_pair(m, n))))
+    original = witt.bracket_pair
+    return window, lambda a, b: image if (a, b) == (m, n) else original(a, b)
+
+
+class TestSweepAgainstReference:
+    @settings(max_examples=60, deadline=None)
+    @given(corrupted_brackets())
+    def test_report_matches_triple_bracket_loop(self, case):
+        window, corrupted = case
+        with patch.object(witt, "bracket_pair", corrupted):
+            report = witt.jacobi_basis_sweep(window)
+        expected = witt_jacobi_reference(lambda m, n: dict(corrupted(m, n).items()), window)
+        assert (report.status, report.checked_count, report.counterexample) == expected
 
 
 class TestFormat:

@@ -16,7 +16,7 @@ from fractions import Fraction
 
 import click
 
-from . import cohomology, extension, fock, verma, witt
+from . import fock
 from .core import ScalarFormatError, format_scalar, parse_scalar
 from .reports import VerificationReport
 
@@ -68,6 +68,7 @@ def _input_error(fmt: str, check_name: str, message: str):
 
 
 def _load_oracle(fmt: str, check_name: str, use_virasoro: bool, input_path):
+    from . import cohomology
     if use_virasoro == bool(input_path):
         raise click.UsageError("exactly one of --virasoro or --input is required")
     if use_virasoro:
@@ -122,6 +123,11 @@ def verify(kind, window, max_index, max_level, alpha, c, h, input_path,
     """
     if max_index is None and kind != "verma-hw":
         max_index = 4
+    # Each kind imports what it runs: a Fock command loads no Verma, bracket or cocycle module.
+    if kind in ("verma", "verma-hw", "intertwine"):
+        from . import verma
+    elif kind in ("witt-jacobi", "cocycle", "extension", "virasoro-constants", "heisenberg"):
+        from . import cohomology, extension, witt
     sweeps = {
         "witt-jacobi": lambda: [witt.jacobi_basis_sweep(max_index)],
         "cocycle": lambda: [cohomology.check_cocycle_identity(
@@ -162,6 +168,7 @@ def reduce(input_path, window, fmt):
     multiplier r, and the residual report.  An input that fails the cocycle
     identity on the window is rejected with exit status 2.
     """
+    from . import cohomology
     try:
         oracle = cohomology.load_cocycle_table(input_path)
     except (cohomology.TableFormatError, OSError) as exc:
@@ -200,6 +207,7 @@ def nontrivial(input_path, use_virasoro, window, fmt):
     Prints the witness pair, or reports that none exists in the window.
     Exit status is 0 either way; absence of a witness is not a failure.
     """
+    from . import cohomology
     oracle = _load_oracle(fmt, "nontriviality-witness", use_virasoro, input_path)
     witness = cohomology.nontriviality_witness(oracle, window)
     if fmt == "json":

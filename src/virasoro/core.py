@@ -126,29 +126,14 @@ class FreeVector:
     def _sum(cls, pairs: Iterable[tuple], module: tuple = (), den: int = 1) -> "FreeVector":
         """Sum of coeff/den * vector over (coeff, vector) pairs, coeff an int or a Fraction.
 
-        Every pair is brought to the lcm of the pair denominators, the
-        numerators are added as integers, and the sum is reduced once.
+        The numerators are added as integers in one `_accumulate` pass and
+        the sum is reduced once.
         """
-        scaled, common = [], 1
-        for coeff, vector in pairs:
-            if coeff and vector._num:
-                q = coeff.denominator * den * vector._den
-                scaled.append((coeff.numerator, q, vector))
-                if common % q:
-                    common = lcm(common, q)
-        if len(scaled) == 1:
-            p, q, vector = scaled[0]
-            if p == 1 and q == vector._den:   # the vector itself; numerator tables are shared
-                return cls._wrap(vector._num, q, module)
-            table = {index: p * value for index, value in vector._num.items()}
-        else:
-            table = {}
-            get = table.get
-            for p, q, vector in scaled:
-                p *= common // q
-                for index, value in vector._num.items():
-                    table[index] = get(index, 0) + p * value
-        return cls._reduce(table, common, module)
+        scaled = [(coeff.numerator, coeff.denominator * den * vector._den, vector)
+                  for coeff, vector in pairs if coeff and vector._num]
+        if len(scaled) == 1 and scaled[0][0] == 1 and scaled[0][1] == scaled[0][2]._den:
+            return cls._wrap(scaled[0][2]._num, scaled[0][1], module)   # numerator tables shared
+        return cls._reduce(*_accumulate((p, q, vector._num) for p, q, vector in scaled), module)
 
     @classmethod
     def _reduce(cls, table: dict, den: int, module: tuple = ()) -> "FreeVector":
@@ -225,22 +210,33 @@ class FreeVector:
         return f"{type(self).__name__}({', '.join(map(repr, arguments))})"
 
 
+def _accumulate(columns: Iterable[tuple]) -> tuple[dict, int]:
+    """Sum of value/q * column over (value, q, column) triples of ints and numerator tables.
+
+    One pass: the partial sum is rescaled when the lcm of the q grows, then
+    the scaled column is added.  Returns the integer numerators over that
+    lcm, not reduced; entries that cancelled are kept as 0.
+    """
+    table, den = {}, 1
+    get = table.get
+    for value, q, column in columns:
+        if den % q:
+            grown = lcm(den, q)
+            table = {key: grown // den * entry for key, entry in table.items()}
+            get, den = table.get, grown
+        value *= den // q
+        for key, entry in column.items():
+            table[key] = get(key, 0) + value * entry
+    return table, den
+
+
 def linear_extend(basis_map: Callable, vector: FreeVector) -> FreeVector:
     """Apply a basis-indexed map index -> FreeVector linearly, within vector's module."""
     if vector._den == 1 and len(vector._num) == 1 and 1 in vector._num.values():
         image = basis_map(*vector._num)   # a basis vector's image; numerator tables are shared
         return type(vector)._wrap(image._num, image._den, vector.module)
-    table, den = {}, 1
-    get = table.get
-    for index, value in vector._num.items():
-        image = basis_map(index)
-        if den % image._den:   # one pass: rescale the partial sum when the lcm grows
-            grown = lcm(den, image._den)
-            table = {key: grown // den * entry for key, entry in table.items()}
-            get, den = table.get, grown
-        value *= den // image._den
-        for key, entry in image._num.items():
-            table[key] = get(key, 0) + value * entry
+    table, den = _accumulate((value, image._den, image._num) for index, value in vector._num.items()
+                             for image in (basis_map(index),))
     return type(vector)._reduce(table, den * vector._den, vector.module)
 
 
@@ -250,12 +246,34 @@ def bilinear_extend(pair_map: Callable, left: FreeVector, right: FreeVector, zer
     zero fixes the target module: FreeVector.zero() for vector-valued maps,
     Fraction(0) for scalar-valued ones.
     """
-    acc = zero
-    for i, a in left._num.items():
-        for j, b in right._num.items():
-            acc = acc + (a * b) * pair_map(i, j)
     den = left._den * right._den
-    return acc if den == 1 else acc * Fraction(1, den)
+    images = ((a * b, pair_map(i, j)) for i, a in left._num.items() for j, b in right._num.items())
+    if not isinstance(zero, FreeVector):
+        return sum((value * image for value, image in images), zero) / den
+    table, common = _accumulate((value, image._den, image._num) for value, image in images)
+    return type(zero)._reduce(table, common * den, zero.module)
+
+
+def chain_sum(index, terms: Iterable[tuple]) -> tuple[dict, int]:
+    """Sum of coeff * f_k(...f_1(e_index)) over terms (coeff, (f_1, ..., f_k)).
+
+    Each f maps a basis index to its image, a FreeVector (a cached column),
+    and the empty chain is the identity.  Every path through the columns
+    ends in one scaled column added to one table, with no intermediate
+    vector; the result is in `_accumulate` form.
+    """
+    return _accumulate(_chain_columns(index, terms))
+
+
+def _chain_columns(index, terms):
+    for coeff, chain in terms:
+        paths = [(coeff.numerator, coeff.denominator, index)]
+        for f in chain[:-1]:
+            paths = [(value * entry, q * column._den, key) for value, q, start in paths
+                     for column in (f(start),) for key, entry in column._num.items()]
+        for value, q, start in paths:
+            column = chain[-1](start) if chain else FreeVector.basis(start)
+            yield value, q * column._den, column._num
 
 
 class BracketTable(dict):
@@ -263,8 +281,8 @@ class BracketTable(dict):
 
     A bracket is bilinear, so [e_i, v] is the combination of the entries
     (i, j) over v's support with v's coefficients; `jacobi_defect` adds the
-    three outer brackets of a basis triple that way, in one integer pass as
-    `linear_extend` does, into a vector of class `cls`.
+    three outer brackets of a basis triple that way, in one `_accumulate`
+    pass, into a vector of class `cls`.
     """
 
     def __init__(self, cls: type, pair: Callable):
@@ -277,20 +295,10 @@ class BracketTable(dict):
 
     def jacobi_defect(self, i, j, k) -> FreeVector:
         """[e_i, [e_j, e_k]] + [e_j, [e_k, e_i]] + [e_k, [e_i, e_j]]."""
-        table, den = {}, 1
-        get = table.get
-        for outer, inner in ((i, self[j, k]), (j, self[k, i]), (k, self[i, j])):
-            for index, value in inner._num.items():
-                column = self[outer, index]
-                q = inner._den * column._den
-                if den % q:   # rescale the partial sum when the lcm grows
-                    grown = lcm(den, q)
-                    table = {key: grown // den * entry for key, entry in table.items()}
-                    get, den = table.get, grown
-                value *= den // q
-                for key, entry in column._num.items():
-                    table[key] = get(key, 0) + value * entry
-        return self.cls._reduce(table, den)
+        return self.cls._reduce(*_accumulate(
+            (value, inner._den * column._den, column._num)
+            for outer, inner in ((i, self[j, k]), (j, self[k, i]), (k, self[i, j]))
+            for index, value in inner._num.items() for column in (self[outer, index],)))
 
 
 def as_pair(value: int | Fraction) -> tuple[int, int]:

@@ -11,11 +11,10 @@ the truncation bound of a vector tells how far those sums have to reach.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
-from math import lcm
+from functools import lru_cache, partial
 
-from .core import (ZERO, FreeVector, ModuleVector, Partition, as_pair, as_scalar, format_scalar,
-                   linear_extend, partitions_of_level, partitions_up_to)
+from .core import (ZERO, FreeVector, ModuleVector, Partition, _accumulate, as_pair, as_scalar,
+                   format_scalar, linear_extend, partitions_of_level, partitions_up_to)
 from .reports import VerificationReport, first_counterexample, mismatch
 from .sweeps import index_grid, run_sweep
 
@@ -74,14 +73,23 @@ def _j_basis(k: int, partition: Partition, alpha: tuple[int, int]) -> FreeVector
     return FreeVector.basis(remove_part(partition, k), multiplicity * k)
 
 
+def j_column(k: int, alpha: tuple[int, int]):
+    """partition -> J(k) on its basis vector, read from the cache when called."""
+    return lambda partition: _j_basis(k, partition, alpha)
+
+
+def _pair_chain(k: int, l: int, alpha: tuple[int, int]) -> tuple:
+    """:J(k)J(l): as a chain of J columns: as in normal_pair, the higher index acts first."""
+    return j_column(max(k, l), alpha), j_column(min(k, l), alpha)
+
+
 def j_action(k: int, v: FockVector) -> FockVector:
     """Current operator J(k).
 
     k < 0 inserts a part |k|; k = 0 scales by the charge; k > 0 removes one
     copy of k weighted by k times its multiplicity (zero if k is not a part).
     """
-    alpha = as_pair(v.alpha)
-    return linear_extend(lambda p: _j_basis(k, p, alpha), v)
+    return linear_extend(j_column(k, as_pair(v.alpha)), v)
 
 
 def truncation_bound(v: FockVector) -> int:
@@ -95,9 +103,7 @@ def normal_pair(k: int, l: int, v: FockVector) -> FockVector:
     The higher index acts first, so annihilation-type operators hit the
     vector before creation-type ones; the result is symmetric in (k, l).
     """
-    if k <= l:
-        return j_action(k, j_action(l, v))
-    return j_action(l, j_action(k, v))
+    return j_action(min(k, l), j_action(max(k, l), v))
 
 
 @lru_cache(maxsize=None)
@@ -105,12 +111,16 @@ def _sugawara_basis(n: int, partition: Partition, alpha: tuple[int, int]) -> Fre
     """1/2 * sum of :J(n-k)J(k): on one basis vector, multiplied out of the J columns."""
     bound = partition[0] + 1 if partition else 1
     # As in normal_pair, the higher index acts first.
-    firsts = [(first, min(n - k, k)) for k in range(n - bound + 1, bound)
-              if (first := _j_basis(max(n - k, k), partition, alpha))._num]
-    den = lcm(*(first._den for first, _ in firsts))
-    return FreeVector.linear_combination(
-        [(value * (den // first._den), _j_basis(second, middle, alpha))
-         for first, second in firsts for middle, value in first._num.items()], den=2 * den)
+    return FreeVector._reduce(*_accumulate(
+        (value, 2 * first._den * second._den, second._num) for k in range(n - bound + 1, bound)
+        for first in (_j_basis(max(n - k, k), partition, alpha),)
+        for middle, value in first._num.items()
+        for second in (_j_basis(min(n - k, k), middle, alpha),)))
+
+
+def sugawara_column(n: int, alpha: tuple[int, int]):
+    """partition -> L(n) on its basis vector, read from the cache when called."""
+    return lambda partition: _sugawara_basis(n, partition, alpha)
 
 
 def sugawara_l(n: int, v: FockVector) -> FockVector:
@@ -119,8 +129,7 @@ def sugawara_l(n: int, v: FockVector) -> FockVector:
     Only indices with n - N < k < N contribute, where N is the truncation
     bound, so the sum is finite; every omitted term vanishes on v.
     """
-    alpha = as_pair(v.alpha)
-    return linear_extend(lambda p: _sugawara_basis(n, p, alpha), v)
+    return linear_extend(sugawara_column(n, as_pair(v.alpha)), v)
 
 
 def weighted_sum_check(n: int) -> bool:
@@ -137,45 +146,46 @@ def check_weighted_sum(max_n: int) -> VerificationReport:
                                 map(_weighted_sum_defect, range(max_n + 1)))
 
 
-# Sweeps: each identity maps indices and a basis vector to the two sides that must agree.
+# Sweeps: each identity maps the charge's pair and the indices to its two sides as chain terms.
 
-def _heisenberg(k, l, v):
-    return (j_action(k, j_action(l, v)) - j_action(l, j_action(k, v)),
-            (k if k + l == 0 else 0) * v)
+def _sweep(check_name: str, identity, parameters: dict, tasks: list[dict], max_level: int,
+           alpha, jobs: int) -> VerificationReport:
+    alpha = as_scalar(alpha)
+    parameters |= {"max_level": str(max_level), "alpha": format_scalar(alpha)}
+    return run_sweep(check_name, parameters, partial(identity, as_pair(alpha)), tasks,
+                     vacuum(alpha), max_level, jobs)
+
+
+def _heisenberg(alpha, k, l):
+    J = partial(j_column, alpha=alpha)
+    return [(1, (J(l), J(k))), (-1, (J(k), J(l)))], [(k if k + l == 0 else 0, ())]
 
 
 def check_heisenberg_relations(max_index: int, max_level: int, alpha,
                                jobs: int = 1) -> VerificationReport:
     """[J(k), J(l)] = k delta_{k,-l} id on every basis vector of the window."""
-    alpha = as_scalar(alpha)
-    parameters = {"max_index": str(max_index), "max_level": str(max_level),
-                  "alpha": format_scalar(alpha)}
-    return run_sweep("heisenberg-relations", parameters, _heisenberg,
-                     index_grid(k=max_index, l=max_index), vacuum(alpha), max_level, jobs)
+    return _sweep("heisenberg-relations", _heisenberg, {"max_index": str(max_index)},
+                  index_grid(k=max_index, l=max_index), max_level, alpha, jobs)
 
 
-def _primary_field(n, k, v):
-    return (sugawara_l(n, j_action(k, v)) - j_action(k, sugawara_l(n, v)),
-            -k * j_action(n + k, v))
+def _primary_field(alpha, n, k):
+    J, L = j_column(k, alpha), sugawara_column(n, alpha)
+    return [(1, (J, L)), (-1, (L, J))], [(-k, (j_column(n + k, alpha),))]
 
 
 def check_primary_field(max_index: int, max_level: int, alpha,
                         jobs: int = 1) -> VerificationReport:
     """[L(n), J(k)] = -k J(n+k) on every basis vector of the window."""
-    alpha = as_scalar(alpha)
-    parameters = {"max_index": str(max_index), "max_level": str(max_level),
-                  "alpha": format_scalar(alpha)}
-    return run_sweep("primary-field", parameters, _primary_field,
-                     index_grid(n=max_index, k=max_index), vacuum(alpha), max_level, jobs)
+    return _sweep("primary-field", _primary_field, {"max_index": str(max_index)},
+                  index_grid(n=max_index, k=max_index), max_level, alpha, jobs)
 
 
-def _normal_pair_commutator(n, m, k, v):
+def _normal_pair_commutator(alpha, n, m, k):
     indicator = (0 <= k < -n) - (-n <= k < 0) if n + m == 0 else 0
-    lhs = sugawara_l(n, normal_pair(m - k, k, v)) - normal_pair(m - k, k, sugawara_l(n, v))
-    rhs = FockVector.linear_combination([(-k, normal_pair(m - k, n + k, v)),
-                                         (k - m, normal_pair(n + m - k, k, v)),
-                                         (k * (n + k) * indicator, v)], v.module)
-    return lhs, rhs
+    pair, L = _pair_chain(m - k, k, alpha), (sugawara_column(n, alpha),)
+    return ([(1, pair + L), (-1, L + pair)],
+            [(-k, _pair_chain(m - k, n + k, alpha)), (k - m, _pair_chain(n + m - k, k, alpha)),
+             (k * (n + k) * indicator, ())])
 
 
 def check_normal_pair_commutator(n: int, m: int, k: int, max_level: int,
@@ -185,28 +195,23 @@ def check_normal_pair_commutator(n: int, m: int, k: int, max_level: int,
     The closed form is -k :J(m-k)J(n+k): - (m-k) :J(n+m-k)J(k): plus the
     central term k(n+k) delta_{n+m,0} (1_{0<=k<-n} - 1_{-n<=k<0}).
     """
-    alpha = as_scalar(alpha)
-    parameters = {"n": str(n), "m": str(m), "k": str(k),
-                  "max_level": str(max_level), "alpha": format_scalar(alpha)}
-    return run_sweep("normal-pair-commutator", parameters, _normal_pair_commutator,
-                     [{"n": n, "m": m, "k": k}], vacuum(alpha), max_level, 1)
+    return _sweep("normal-pair-commutator", _normal_pair_commutator,
+                  {"n": str(n), "m": str(m), "k": str(k)}, [{"n": n, "m": m, "k": k}],
+                  max_level, alpha, 1)
 
 
 def sweep_normal_pair(max_index: int, max_k: int, max_level: int, alpha,
                       jobs: int = 1) -> VerificationReport:
     """check_normal_pair_commutator over |n|, |m| <= max_index, |k| <= max_k."""
-    alpha = as_scalar(alpha)
-    parameters = {"max_index": str(max_index), "max_k": str(max_k),
-                  "max_level": str(max_level), "alpha": format_scalar(alpha)}
-    return run_sweep("normal-pair-commutator", parameters, _normal_pair_commutator,
-                     index_grid(n=max_index, m=max_index, k=max_k),
-                     vacuum(alpha), max_level, jobs)
+    return _sweep("normal-pair-commutator", _normal_pair_commutator,
+                  {"max_index": str(max_index), "max_k": str(max_k)},
+                  index_grid(n=max_index, m=max_index, k=max_k), max_level, alpha, jobs)
 
 
-def _sugawara_commutator(n, m, v):
+def _sugawara_commutator(alpha, n, m):
     central = Fraction(n**3 - n, 12) if n + m == 0 else ZERO
-    return (sugawara_l(n, sugawara_l(m, v)) - sugawara_l(m, sugawara_l(n, v)),
-            FockVector.linear_combination([(n - m, sugawara_l(n + m, v)), (central, v)], v.module))
+    L = partial(sugawara_column, alpha=alpha)
+    return [(1, (L(m), L(n))), (-1, (L(n), L(m)))], [(n - m, (L(n + m),)), (central, ())]
 
 
 def check_sugawara_commutator(max_index: int, max_level: int, alpha,
@@ -215,8 +220,5 @@ def check_sugawara_commutator(max_index: int, max_level: int, alpha,
 
     The central charge is 1, independent of the charge alpha.
     """
-    alpha = as_scalar(alpha)
-    parameters = {"max_index": str(max_index), "max_level": str(max_level),
-                  "alpha": format_scalar(alpha)}
-    return run_sweep("sugawara-commutator", parameters, _sugawara_commutator,
-                     index_grid(n=max_index, m=max_index), vacuum(alpha), max_level, jobs)
+    return _sweep("sugawara-commutator", _sugawara_commutator, {"max_index": str(max_index)},
+                  index_grid(n=max_index, m=max_index), max_level, alpha, jobs)

@@ -1,14 +1,18 @@
 """The runner shared by the identity sweeps over partition-graded modules.
 
 A sweep checks one identity on every basis vector of a module up to a level
-bound, for each index record of a window.  The identity is a function
-(indices..., v) -> (lhs, rhs) of one basis vector v; the first vector where
-the two sides differ, in canonical order (index records as listed, then
-partitions by level and lexicographically), is the counterexample.  Each
-record gets its own report; the sweep's report adds their counts up to the
-earliest failing record.  A serial run starts no record after that one, and
-a parallel run cancels the records no worker has taken yet.  Workers
-compute records independently, so reports are identical for any job count.
+bound, for each index record of a window.  The identity maps a record's
+indices to its two sides, each a list of chain terms (coeff, (f_1, ..., f_k))
+standing for the operator sum of coeff * f_k...f_1, every f a cached basis
+column (see `core.chain_sum`).  On a basis vector e the check adds lhs - rhs
+applied to e into one integer table; only when that defect is nonzero are
+the two sides built as vectors, for the report.  The first vector where the
+sides differ, in canonical order (index records as listed, then partitions
+by level and lexicographically), is the counterexample.  Each record gets
+its own report; the sweep's report adds their counts up to the earliest
+failing record.  A serial run starts no record after that one, and a
+parallel run cancels the records no worker has taken yet.  Workers compute
+records independently, so reports are identical for any job count.
 """
 
 from __future__ import annotations
@@ -18,7 +22,7 @@ from contextlib import closing
 from dataclasses import replace
 from itertools import product
 
-from .core import ModuleVector, partitions_up_to
+from .core import ModuleVector, chain_sum, partitions_up_to
 from .reports import VerificationReport, counterexample, first_counterexample
 
 
@@ -43,18 +47,21 @@ def worker_count(jobs: int, task_count: int) -> int:
     return min(jobs, cpus, task_count)
 
 
-def _outcome(identity, indices: dict, v: ModuleVector) -> dict | None:
-    lhs, rhs = identity(**indices, v=v)
-    if lhs == rhs:
-        return None
-    return counterexample(indices, expected=str(rhs), actual=str(lhs), input_text=str(v))
-
-
 def _sweep_task(task) -> VerificationReport:
-    check_name, parameters, identity, indices, unit, max_level = task
-    return first_counterexample(check_name, parameters, (
-        _outcome(identity, indices, type(unit).basis(partition, module=unit.module))
-        for partition in partitions_up_to(max_level)))
+    check_name, parameters, identity, indices, unit, target, max_level = task
+    sides = identity(**indices)
+    defect = sides[0] + [(-coeff, chain) for coeff, chain in sides[1]]
+
+    def outcome(partition):
+        table, _ = chain_sum(partition, defect)
+        if not any(table.values()):
+            return None
+        lhs, rhs = (type(target)._reduce(*chain_sum(partition, side), target.module)
+                    for side in sides)
+        return counterexample(indices, expected=str(rhs), actual=str(lhs),
+                              input_text=str(type(unit).basis(partition, module=unit.module)))
+
+    return first_counterexample(check_name, parameters, map(outcome, partitions_up_to(max_level)))
 
 
 def _merge(report: VerificationReport, records) -> VerificationReport:
@@ -67,13 +74,17 @@ def _merge(report: VerificationReport, records) -> VerificationReport:
 
 
 def run_sweep(check_name: str, parameters: dict, identity, tasks: list[dict],
-              unit: ModuleVector, max_level: int, jobs: int) -> VerificationReport:
-    """Check identity(**indices, v=v) for every record and every basis vector v.
+              unit: ModuleVector, max_level: int, jobs: int,
+              target: ModuleVector | None = None) -> VerificationReport:
+    """Check the sides identity(**indices) on every record and every basis vector.
 
-    The basis vectors are those of unit's module up to max_level.  The
-    identity must be picklable when more than one worker runs.
+    The basis vectors are those of unit's module up to max_level; the two
+    sides are rendered as vectors of target's module, unit's by default.
+    The identity must be picklable when more than one worker runs.
     """
-    work = [(check_name, parameters, identity, indices, unit, max_level) for indices in tasks]
+    target = unit if target is None else target
+    work = [(check_name, parameters, identity, indices, unit, target, max_level)
+            for indices in tasks]
     empty = first_counterexample(check_name, parameters, ())
     workers = worker_count(jobs, len(work))
     if workers <= 1:

@@ -72,9 +72,13 @@ def _act_basis(a: int, partition: Partition, c: tuple[int, int],
     return FreeVector.linear_combination(pairs, den=den)
 
 
+def act_column(a: int, c: tuple[int, int], h: tuple[int, int]):
+    """partition -> L(a) on its basis monomial, read from the cache when called."""
+    return lambda partition: _act_basis(a, partition, c, h)
+
+
 def l_action(a: int, v: VermaVector) -> VermaVector:
-    c, h = map(as_pair, v.module)
-    return linear_extend(lambda p: _act_basis(a, p, c, h), v)
+    return linear_extend(act_column(a, *map(as_pair, v.module)), v)
 
 
 def c_action(v: VermaVector) -> VermaVector:
@@ -107,10 +111,10 @@ def _depth(a: int, partition: Partition, c: tuple[int, int], h: tuple[int, int])
     return depth
 
 
-def _relations(n, m, v):
-    central = Fraction(n**3 - n, 12) * v.c if n + m == 0 else ZERO
-    return (l_action(n, l_action(m, v)) - l_action(m, l_action(n, v)),
-            VermaVector.linear_combination([(n - m, l_action(n + m, v)), (central, v)], v.module))
+def _relations(c, h, n, m):
+    central = Fraction(n**3 - n, 12) * Fraction(*c) if n + m == 0 else ZERO
+    L = partial(act_column, c=c, h=h)
+    return [(1, (L(m), L(n))), (-1, (L(n), L(m)))], [(n - m, (L(n + m),)), (central, ())]
 
 
 def check_verma_relations(max_index: int, max_level: int, c, h,
@@ -119,7 +123,7 @@ def check_verma_relations(max_index: int, max_level: int, c, h,
     c, h = as_scalar(c), as_scalar(h)
     parameters = {"max_index": str(max_index), "max_level": str(max_level),
                   "c": format_scalar(c), "h": format_scalar(h)}
-    return run_sweep("verma-relations", parameters, _relations,
+    return run_sweep("verma-relations", parameters, partial(_relations, as_pair(c), as_pair(h)),
                      index_grid(n=max_index, m=max_index), hw_vector(c, h), max_level, jobs)
 
 
@@ -150,18 +154,23 @@ def universal_map(alpha, v: VermaVector) -> fock.FockVector:
             f"charge 1 and highest weight alpha^2/2 = {alpha * alpha / 2}; "
             f"got (c, h) = ({format_scalar(v.c)}, {format_scalar(v.h)})")
 
-    def image(partition):
-        vector = fock.vacuum(alpha)
-        for part in reversed(partition):
-            vector = fock.sugawara_l(-part, vector)
-        return vector
-
+    images, key = {}, as_pair(alpha)
     return fock.FockVector.linear_combination(
-        ((coeff, image(partition)) for partition, coeff in v.items()), (alpha,))
+        ((coeff, _image(images, key, partition)) for partition, coeff in v.items()), (alpha,))
 
 
-def _intertwining(alpha, a, v):
-    return universal_map(alpha, l_action(a, v)), fock.sugawara_l(a, universal_map(alpha, v))
+def _image(images: dict, alpha: tuple[int, int], partition: Partition) -> FreeVector:
+    """The Fock image of one basis monomial, memoized in images."""
+    if partition not in images:
+        images[partition] = FreeVector.basis(()) if not partition else linear_extend(
+            fock.sugawara_column(-partition[0], alpha), _image(images, alpha, partition[1:]))
+    return images[partition]
+
+
+def _intertwining(alpha, images, a):
+    h = as_pair(Fraction(*alpha) ** 2 / 2)
+    image = partial(_image, images, alpha)
+    return [(1, (act_column(a, (1, 1), h), image))], [(1, (image, fock.sugawara_column(a, alpha)))]
 
 
 def check_intertwining(alpha, max_index: int, max_level: int,
@@ -170,5 +179,7 @@ def check_intertwining(alpha, max_index: int, max_level: int,
     alpha = as_scalar(alpha)
     parameters = {"alpha": format_scalar(alpha), "max_index": str(max_index),
                   "max_level": str(max_level)}
-    return run_sweep("fock-verma-intertwining", parameters, partial(_intertwining, alpha),
-                     index_grid(a=max_index), hw_vector(1, alpha * alpha / 2), max_level, jobs)
+    # The images are memoized for one sweep: they are built from the J columns in use.
+    return run_sweep("fock-verma-intertwining", parameters,
+                     partial(_intertwining, as_pair(alpha), {}), index_grid(a=max_index),
+                     hw_vector(1, alpha * alpha / 2), max_level, jobs, fock.vacuum(alpha))

@@ -1,6 +1,7 @@
 """The sweep runner: worker clamping, and every partition sweep driven to FAIL.
 
-Each injected defect corrupts one cached basis action.  The reports below are
+Each injected defect corrupts one cached basis action: a J column, an L
+column of the Fock module, or an L column of the highest-weight module.  The reports below are
 the full first-counterexample records, and they must not depend on the job
 count.
 """
@@ -38,6 +39,25 @@ def j_defect(monkeypatch):
 
     _clear_caches()
     monkeypatch.setattr(fock, "_j_basis", broken)
+    yield
+    monkeypatch.undo()
+    _clear_caches()
+
+
+@pytest.fixture
+def l_defect(monkeypatch):
+    """L(-1) on J(-1)|α⟩ picks up one extra J(-1)J(-1)|α⟩; the J columns are intact."""
+    original = fock._sugawara_basis
+
+    @lru_cache(maxsize=None)
+    def broken(n, partition, alpha):
+        out = original(n, partition, alpha)
+        if n == -1 and partition == (1,):
+            return out + FreeVector.basis((1, 1))
+        return out
+
+    _clear_caches()
+    monkeypatch.setattr(fock, "_sugawara_basis", broken)
     yield
     monkeypatch.undo()
     _clear_caches()
@@ -108,6 +128,26 @@ FAILURES = [
      "counterexample.expected='1/2·J(-2)J(-1)J(-1)J(-1)|α⟩ + 3/2·J(-2)J(-2)J(-1)|α⟩ "
      "+ 1/4·J(-3)J(-1)J(-1)|α⟩ + 5/4·J(-3)J(-2)|α⟩ + 2·J(-4)J(-1)|α⟩ + 3/2·J(-5)|α⟩' "
      "counterexample.indices.a=-2 counterexample.input='1·L(-3)|c,h⟩'"),
+    ("l_defect", lambda jobs: fock.check_sugawara_commutator(2, 3, A, jobs),
+     "FAIL sugawara-commutator alpha=1/2 max_index=2 max_level=3 checked_count=9 "
+     "counterexample.actual='1/2·J(-1)J(-1)J(-1)J(-1)|α⟩ + -1/2·J(-2)J(-1)J(-1)|α⟩ "
+     "+ 3/2·J(-3)J(-1)|α⟩ + -1·J(-4)|α⟩' "
+     "counterexample.expected='-1·J(-2)J(-1)J(-1)|α⟩ + -1/2·J(-3)J(-1)|α⟩ + -1·J(-4)|α⟩' "
+     "counterexample.indices.m=-1 counterexample.indices.n=-2 "
+     "counterexample.input='1·J(-1)|α⟩'"),
+    ("l_defect", lambda jobs: fock.check_primary_field(2, 3, A, jobs),
+     "FAIL primary-field alpha=1/2 max_index=2 max_level=3 checked_count=37 "
+     "counterexample.actual='-1·J(-2)J(-1)J(-1)|α⟩ + 2·J(-3)J(-1)|α⟩' "
+     "counterexample.expected='2·J(-3)J(-1)|α⟩' "
+     "counterexample.indices.k=-2 counterexample.indices.n=-1 "
+     "counterexample.input='1·J(-1)|α⟩'"),
+    ("l_defect", lambda jobs: verma.check_intertwining(A, 2, 3, jobs),
+     "FAIL fock-verma-intertwining alpha=1/2 max_index=2 max_level=3 checked_count=13 "
+     "counterexample.actual='3/8·J(-1)J(-1)J(-1)J(-1)|α⟩ + 9/8·J(-2)J(-1)J(-1)|α⟩ "
+     "+ 1/4·J(-2)J(-2)|α⟩ + 7/4·J(-3)J(-1)|α⟩ + 3/2·J(-4)|α⟩' "
+     "counterexample.expected='1/8·J(-1)J(-1)J(-1)J(-1)|α⟩ + 7/8·J(-2)J(-1)J(-1)|α⟩ "
+     "+ 1/4·J(-2)J(-2)|α⟩ + 3/4·J(-3)J(-1)|α⟩ + 3/2·J(-4)|α⟩' "
+     "counterexample.indices.a=-1 counterexample.input='1·L(-2)L(-1)|c,h⟩'"),
 ]
 
 
@@ -115,7 +155,8 @@ FAILURES = [
 @pytest.mark.parametrize("defect,run,expected", FAILURES,
                          ids=["heisenberg", "primary-field", "normal-pair-one",
                               "normal-pair-sweep", "sugawara", "verma-relations",
-                              "intertwining-verma", "intertwining-fock"])
+                              "intertwining-verma", "intertwining-fock", "sugawara-l-column",
+                              "primary-field-l-column", "intertwining-l-column"])
 def test_injected_defect_fails_with_exact_report(request, defect, run, expected, jobs):
     request.getfixturevalue(defect)
     assert run(jobs).to_text() == expected

@@ -70,7 +70,9 @@ class CocycleOracle:
     The wrapped rule is only consulted on ordered pairs m < n, which makes
     antisymmetry structural regardless of the rule; a table read from a file
     is the rule that looks its pairs up and reads 0 off the table.  Oracles
-    combine linearly, so r * VIRASORO + coboundary(beta) is again an oracle.
+    combine linearly, so r * VIRASORO + coboundary(beta) is again an oracle;
+    a combination composes the rules, so antisymmetry and the scalar
+    coercion run once per evaluation.
     """
 
     __slots__ = ("_rule", "description")
@@ -87,13 +89,13 @@ class CocycleOracle:
         return -as_scalar(self._rule(n, m))
 
     def __add__(self, other: "CocycleOracle") -> "CocycleOracle":
-        return CocycleOracle(lambda m, n: self(m, n) + other(m, n),
+        left, right = self._rule, other._rule
+        return CocycleOracle(lambda m, n: left(m, n) + right(m, n),
                              f"({self.description} + {other.description})")
 
     def __rmul__(self, scalar) -> "CocycleOracle":
-        scalar = as_scalar(scalar)
-        return CocycleOracle(lambda m, n: scalar * self(m, n),
-                             f"{scalar}*{self.description}")
+        scalar, rule = as_scalar(scalar), self._rule
+        return CocycleOracle(lambda m, n: scalar * rule(m, n), f"{scalar}*{self.description}")
 
 
 def virasoro_cocycle(m: int, n: int) -> Fraction:
@@ -181,15 +183,15 @@ def reduce_cocycle(omega: CocycleOracle, window: int):
         values[-n] = omega(0, -n) / -n
     beta = OneCochain(window, values)
 
-    corrected = omega + coboundary(beta)
-    r = 2 * corrected(2, -2)
+    # (omega + coboundary(beta))(m, n) = omega(m, n) + (m - n) * beta(m + n), read inline.
+    r = 2 * (omega(2, -2) + 4 * beta.value(0))
 
     parameters = {"window": str(window), "cocycle": omega.description, "r": format_scalar(r)}
     side = 2 * window + 1
     for m in range(-window, window + 1):
         for n in range(m + 1, window + 1):
-            found = mismatch({"m": m, "n": n}, r * virasoro_cocycle(m, n), corrected(m, n),
-                             format_scalar)
+            found = mismatch({"m": m, "n": n}, r * virasoro_cocycle(m, n),
+                             omega(m, n) + (m - n) * beta.value(m + n), format_scalar)
             if found is not None:
                 rank = (m + window) * side + n + window + 1
                 return beta, r, sweep_report("cocycle-reduction-residual", parameters, rank, found)

@@ -230,28 +230,11 @@ def _accumulate(columns: Iterable[tuple]) -> tuple[dict, int]:
     return table, den
 
 
-def linear_extend(basis_map: Callable, vector: FreeVector) -> FreeVector:
-    """Apply a basis-indexed map index -> FreeVector linearly, within vector's module."""
-    if vector._den == 1 and len(vector._num) == 1 and 1 in vector._num.values():
-        image = basis_map(*vector._num)   # a basis vector's image; numerator tables are shared
-        return type(vector)._wrap(image._num, image._den, vector.module)
-    table, den = _accumulate((value, image._den, image._num) for index, value in vector._num.items()
-                             for image in (basis_map(index),))
-    return type(vector)._reduce(table, den * vector._den, vector.module)
-
-
-def bilinear_extend(pair_map: Callable, left: FreeVector, right: FreeVector, zero):
-    """Extend a basis-pair map bilinearly to vectors.
-
-    zero fixes the target module: FreeVector.zero() for vector-valued maps,
-    Fraction(0) for scalar-valued ones.
-    """
-    den = left._den * right._den
-    images = ((a * b, pair_map(i, j)) for i, a in left._num.items() for j, b in right._num.items())
-    if not isinstance(zero, FreeVector):
-        return sum((value * image for value, image in images), zero) / den
-    table, common = _accumulate((value, image._den, image._num) for value, image in images)
-    return type(zero)._reduce(table, common * den, zero.module)
+def bilinear_extend(pair_map: Callable, left: FreeVector, right: FreeVector, zero: FreeVector):
+    """Extend a basis-pair map bilinearly to vectors, into zero's class and module."""
+    table, den = _accumulate((a * b, image._den, image._num) for i, a in left._num.items()
+                             for j, b in right._num.items() for image in (pair_map(i, j),))
+    return type(zero)._reduce(table, den * left._den * right._den, zero.module)
 
 
 def chain_sum(index, terms: Iterable[tuple]) -> tuple[dict, int]:
@@ -274,6 +257,19 @@ def _chain_columns(index, terms):
         for value, q, start in paths:
             column = chain[-1](start) if chain else FreeVector.basis(start)
             yield value, q * column._den, column._num
+
+
+def apply(terms: list[tuple], v: FreeVector, target: FreeVector | None = None) -> FreeVector:
+    """Sum of coeff * f_k(...f_1(v)) over chain terms (coeff, (f_1, ..., f_k)), as in chain_sum.
+
+    One `_accumulate` pass adds each index's chain sum scaled by its
+    numerator; the result is a vector of target's class and module, v's by
+    default.
+    """
+    target = v if target is None else target
+    table, den = _accumulate((value, q, column) for index, value in v._num.items()
+                             for column, q in (chain_sum(index, terms),))
+    return type(target)._reduce(table, den * v._den, target.module)
 
 
 class BracketTable(dict):

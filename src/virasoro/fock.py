@@ -13,8 +13,8 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache, partial
 
-from .core import (ZERO, FreeVector, ModuleVector, Partition, _accumulate, as_pair, as_scalar,
-                   format_scalar, linear_extend, partitions_of_level, partitions_up_to)
+from .core import (ZERO, FreeVector, ModuleVector, Partition, _accumulate, apply, as_pair,
+                   as_scalar, format_scalar, partitions_of_level, partitions_up_to)
 from .reports import VerificationReport, first_counterexample, mismatch
 from .sweeps import index_grid, run_sweep
 
@@ -79,7 +79,7 @@ def j_column(k: int, alpha: tuple[int, int]):
 
 
 def _pair_chain(k: int, l: int, alpha: tuple[int, int]) -> tuple:
-    """:J(k)J(l): as a chain of J columns: as in normal_pair, the higher index acts first."""
+    """:J(k)J(l): as a chain of J columns; the higher (annihilation-type) index acts first."""
     return j_column(max(k, l), alpha), j_column(min(k, l), alpha)
 
 
@@ -89,7 +89,7 @@ def j_action(k: int, v: FockVector) -> FockVector:
     k < 0 inserts a part |k|; k = 0 scales by the charge; k > 0 removes one
     copy of k weighted by k times its multiplicity (zero if k is not a part).
     """
-    return linear_extend(j_column(k, as_pair(v.alpha)), v)
+    return apply([(1, (j_column(k, as_pair(v.alpha)),))], v)
 
 
 def truncation_bound(v: FockVector) -> int:
@@ -98,19 +98,15 @@ def truncation_bound(v: FockVector) -> int:
 
 
 def normal_pair(k: int, l: int, v: FockVector) -> FockVector:
-    """Normal-ordered pair :J(k)J(l): applied to v.
-
-    The higher index acts first, so annihilation-type operators hit the
-    vector before creation-type ones; the result is symmetric in (k, l).
-    """
-    return j_action(min(k, l), j_action(max(k, l), v))
+    """Normal-ordered pair :J(k)J(l): applied to v (see _pair_chain)."""
+    return apply([(1, _pair_chain(k, l, as_pair(v.alpha)))], v)
 
 
 @lru_cache(maxsize=None)
 def _sugawara_basis(n: int, partition: Partition, alpha: tuple[int, int]) -> FreeVector:
     """1/2 * sum of :J(n-k)J(k): on one basis vector, multiplied out of the J columns."""
     bound = partition[0] + 1 if partition else 1
-    # As in normal_pair, the higher index acts first.
+    # As in _pair_chain, the higher index acts first.
     return FreeVector._reduce(*_accumulate(
         (value, 2 * first._den * second._den, second._num) for k in range(n - bound + 1, bound)
         for first in (_j_basis(max(n - k, k), partition, alpha),)
@@ -129,7 +125,7 @@ def sugawara_l(n: int, v: FockVector) -> FockVector:
     Only indices with n - N < k < N contribute, where N is the truncation
     bound, so the sum is finite; every omitted term vanishes on v.
     """
-    return linear_extend(sugawara_column(n, as_pair(v.alpha)), v)
+    return apply([(1, (sugawara_column(n, as_pair(v.alpha)),))], v)
 
 
 def weighted_sum_check(n: int) -> bool:
@@ -208,10 +204,14 @@ def sweep_normal_pair(max_index: int, max_k: int, max_level: int, alpha,
                   index_grid(n=max_index, m=max_index, k=max_k), max_level, alpha, jobs)
 
 
-def _sugawara_commutator(alpha, n, m):
-    central = Fraction(n**3 - n, 12) if n + m == 0 else ZERO
-    L = partial(sugawara_column, alpha=alpha)
+def virasoro_commutator(L, central_charge, n: int, m: int):
+    """[L(n), L(m)] = (n - m) L(n+m) + (n^3 - n)/12 delta_{n,-m} central_charge; L(k) a column."""
+    central = Fraction(n**3 - n, 12) * central_charge if n + m == 0 else ZERO
     return [(1, (L(m), L(n))), (-1, (L(n), L(m)))], [(n - m, (L(n + m),)), (central, ())]
+
+
+def _sugawara_commutator(alpha, n, m):
+    return virasoro_commutator(partial(sugawara_column, alpha=alpha), 1, n, m)
 
 
 def check_sugawara_commutator(max_index: int, max_level: int, alpha,

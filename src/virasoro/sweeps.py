@@ -6,13 +6,14 @@ indices to its two sides, each a list of chain terms (coeff, (f_1, ..., f_k))
 standing for the operator sum of coeff * f_k...f_1, every f a cached basis
 column (see `core.chain_sum`).  On a basis vector e the check adds lhs - rhs
 applied to e into one integer table; only when that defect is nonzero are
-the two sides built as vectors, for the report.  The first vector where the
-sides differ, in canonical order (index records as listed, then partitions
-by level and lexicographically), is the counterexample.  Each record gets
-its own report; the sweep's report adds their counts up to the earliest
-failing record.  A serial run starts no record after that one, and a
-parallel run cancels the records no worker has taken yet.  Workers compute
-records independently, so reports are identical for any job count.
+the two sides applied to e by `core.apply`, the path of every vector-level
+operator, and rendered for the report.  The first vector where the sides
+differ, in canonical order (index records as listed, then partitions by
+level and lexicographically), is the counterexample.  Each record gets its
+own report; the sweep's report adds their counts up to the earliest failing
+record.  A serial run starts no record after that one, and a parallel run
+cancels the records no worker has taken yet.  Workers compute records
+independently, so reports are identical for any job count.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from contextlib import closing
 from dataclasses import replace
 from itertools import product
 
-from .core import ModuleVector, chain_sum, partitions_up_to
+from .core import ModuleVector, apply, chain_sum, partitions_up_to
 from .reports import VerificationReport, counterexample, first_counterexample
 
 
@@ -56,10 +57,9 @@ def _sweep_task(task) -> VerificationReport:
         table, _ = chain_sum(partition, defect)
         if not any(table.values()):
             return None
-        lhs, rhs = (type(target)._reduce(*chain_sum(partition, side), target.module)
-                    for side in sides)
-        return counterexample(indices, expected=str(rhs), actual=str(lhs),
-                              input_text=str(type(unit).basis(partition, module=unit.module)))
+        vector = type(unit).basis(partition, module=unit.module)
+        lhs, rhs = (apply(side, vector, target) for side in sides)
+        return counterexample(indices, expected=str(rhs), actual=str(lhs), input_text=str(vector))
 
     return first_counterexample(check_name, parameters, map(outcome, partitions_up_to(max_level)))
 

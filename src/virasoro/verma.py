@@ -16,7 +16,7 @@ from fractions import Fraction
 from functools import lru_cache, partial
 
 from . import fock
-from .core import ZERO, FreeVector, ModuleVector, as_pair, as_scalar, format_scalar, linear_extend
+from .core import ZERO, FreeVector, ModuleVector, apply, as_pair, as_scalar, format_scalar
 from .fock import Partition, as_partition
 from .reports import VerificationReport, first_counterexample, mismatch
 from .sweeps import index_grid, run_sweep
@@ -78,43 +78,15 @@ def act_column(a: int, c: tuple[int, int], h: tuple[int, int]):
 
 
 def l_action(a: int, v: VermaVector) -> VermaVector:
-    return linear_extend(act_column(a, *map(as_pair, v.module)), v)
+    return apply([(1, (act_column(a, *map(as_pair, v.module)),))], v)
 
 
 def c_action(v: VermaVector) -> VermaVector:
     return v.c * v
 
 
-def straightening_depth(a: int, partition: Partition, c, h) -> int:
-    """Recursion depth of one straightening; _depth mirrors _act_basis call for call.
-
-    Bounded by the monomial length plus one: the only recursive call that
-    does not shrink the monomial is a canonical prepend, which returns
-    immediately.  The cache keys are those l_action uses, so the columns
-    it has built are read, not built again.
-    """
-    return _depth(a, partition, as_pair(as_scalar(c)), as_pair(as_scalar(h)))
-
-
-def _depth(a: int, partition: Partition, c: tuple[int, int], h: tuple[int, int]) -> int:
-    if not partition:
-        return 1
-    p = partition[0]
-    rest = partition[1:]
-    if a < 0 and -a >= p:
-        return 1
-    depth = 1 + _depth(a, rest, c, h)
-    for inner in _act_basis(a, rest, c, h)._num:
-        depth = max(depth, 1 + _depth(-p, inner, c, h))
-    if a + p:
-        depth = max(depth, 1 + _depth(a - p, rest, c, h))
-    return depth
-
-
 def _relations(c, h, n, m):
-    central = Fraction(n**3 - n, 12) * Fraction(*c) if n + m == 0 else ZERO
-    L = partial(act_column, c=c, h=h)
-    return [(1, (L(m), L(n))), (-1, (L(n), L(m)))], [(n - m, (L(n + m),)), (central, ())]
+    return fock.virasoro_commutator(partial(act_column, c=c, h=h), Fraction(*c), n, m)
 
 
 def check_verma_relations(max_index: int, max_level: int, c, h,
@@ -154,16 +126,15 @@ def universal_map(alpha, v: VermaVector) -> fock.FockVector:
             f"charge 1 and highest weight alpha^2/2 = {alpha * alpha / 2}; "
             f"got (c, h) = ({format_scalar(v.c)}, {format_scalar(v.h)})")
 
-    images, key = {}, as_pair(alpha)
-    return fock.FockVector.linear_combination(
-        ((coeff, _image(images, key, partition)) for partition, coeff in v.items()), (alpha,))
+    return apply([(1, (partial(_image, {}, as_pair(alpha)),))], v, fock.vacuum(alpha))
 
 
 def _image(images: dict, alpha: tuple[int, int], partition: Partition) -> FreeVector:
     """The Fock image of one basis monomial, memoized in images."""
     if partition not in images:
-        images[partition] = FreeVector.basis(()) if not partition else linear_extend(
-            fock.sugawara_column(-partition[0], alpha), _image(images, alpha, partition[1:]))
+        images[partition] = FreeVector.basis(()) if not partition else apply(
+            [(1, (fock.sugawara_column(-partition[0], alpha),))],
+            _image(images, alpha, partition[1:]))
     return images[partition]
 
 

@@ -10,8 +10,8 @@ from hypothesis import strategies as st
 
 from conftest import free_vectors, scalars
 from virasoro import fock, verma
-from virasoro.core import (FreeVector, ScalarFormatError, as_scalar, bilinear_extend,
-                           format_scalar, linear_extend, parse_scalar)
+from virasoro.core import (FreeVector, ScalarFormatError, apply, as_scalar, bilinear_extend,
+                           format_scalar, parse_scalar)
 
 ALPHA, C, H = Fraction(1, 2), Fraction(7, 3), Fraction(-1, 5)
 
@@ -243,7 +243,7 @@ class TestCanonicalForm:
             (type(u).linear_combination([(a, u), (k, v), (Fraction(0), v)], u.module),
              _reference([(a, x), (k, y)])),
             (type(u).linear_combination([(2, u), (-1, u)], u.module), _reference([(1, x)])),
-            (linear_extend(basis_map, u),
+            (apply([(1, (basis_map,))], u),
              _reference([(value, _column(index)) for index, value in x.items()])),
             (bilinear_extend(pair_map, u, v, FreeVector.zero()),
              _reference([(x[p] * y[q], _pair(p, q)) for p in x for q in y])),
@@ -252,33 +252,25 @@ class TestCanonicalForm:
             self.assert_canonical(vector, reference)
         for (left, left_ref), (right, right_ref) in combinations(results[:-1], 2):
             assert (left == right) == (left_ref == right_ref)
-        scalar = bilinear_extend(lambda p, q: Fraction(len(p) + 1, len(q) + 2), u, v, Fraction(0))
-        assert scalar == sum((x[p] * y[q] * Fraction(len(p) + 1, len(q) + 2)
-                              for p in x for q in y), Fraction(0))
 
 
 class TestExtensions:
     def test_linear_extend(self):
-        double = linear_extend(lambda n: FreeVector.basis(n, 2), FreeVector({1: 1, 3: -1}))
+        double = apply([(1, (lambda n: FreeVector.basis(n, 2),))], FreeVector({1: 1, 3: -1}))
         assert double == FreeVector({1: 2, 3: -2})
 
     def test_linear_extend_basis_vector_and_growing_denominators(self):
         images = {(1,): FreeVector({(2,): Fraction(1, 2)}),
                   (2,): FreeVector({(2,): Fraction(1, 3), (3,): 1})}
         unit = fock.basis(ALPHA, (1,))
-        image = linear_extend(images.get, unit)
+        image = apply([(1, (images.get,))], unit)
         assert type(image) is fock.FockVector and image.module == unit.module
         assert image == fock.FockVector(ALPHA, {(2,): Fraction(1, 2)})
-        mixed = linear_extend(images.get, fock.FockVector(ALPHA, {(1,): 3, (2,): Fraction(3, 5)}))
+        mixed = apply([(1, (images.get,))],
+                      fock.FockVector(ALPHA, {(1,): 3, (2,): Fraction(3, 5)}))
         assert mixed == fock.FockVector(ALPHA, {(2,): Fraction(3, 2) + Fraction(1, 5),
                                                 (3,): Fraction(3, 5)})
         assert mixed._den == 10 and mixed._num == {(2,): 17, (3,): 6}
-
-    def test_bilinear_extend_scalar_target(self):
-        pairing = bilinear_extend(lambda m, n: Fraction(m * n),
-                                  FreeVector({1: 2}), FreeVector({3: 1, 4: 1}),
-                                  Fraction(0))
-        assert pairing == Fraction(2 * 3 + 2 * 4)
 
     @given(free_vectors(max_terms=3), free_vectors(max_terms=3), free_vectors(max_terms=3),
            scalars)

@@ -4,11 +4,14 @@ The module sweeps decide PASS on chain_sum alone.  Here every chain of
 operator columns is also applied one vector at a time (j_action,
 sugawara_l, normal_pair, l_action) and by the word-rewriting oracles; and
 whole sweeps, with one cached column corrupted at random, are rerun as the
-vector path would run them, instance by instance.
+vector path would run them, instance by instance.  The vector operators
+apply the same chains through core.apply, so the word-rewriting oracles are
+the independent check; core.apply itself is checked against chain_sum summed
+in Fraction arithmetic.
 """
 
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partial
 
 import pytest
 from hypothesis import event, given, settings
@@ -16,7 +19,7 @@ from hypothesis import strategies as st
 
 import oracles
 from virasoro import fock, verma
-from virasoro.core import FreeVector, as_pair, chain_sum
+from virasoro.core import FreeVector, apply, as_pair, chain_sum
 from virasoro.reports import counterexample
 from virasoro.sweeps import index_grid
 
@@ -79,6 +82,7 @@ def _kernel(partition, terms):
 
 
 terms_of = st.lists(st.tuples(exact, st.lists(fock_ops, max_size=3)), min_size=1, max_size=3)
+words_of = st.lists(st.tuples(exact, st.lists(small, max_size=3)), min_size=1, max_size=3)
 
 
 @settings(max_examples=60, deadline=None)
@@ -99,8 +103,7 @@ def test_fock_chains_match_vector_path_and_oracle(alpha, partition, terms):
 
 
 @settings(max_examples=60, deadline=None)
-@given(c=exact, h=exact, partition=basis_partitions,
-       terms=st.lists(st.tuples(exact, st.lists(small, max_size=3)), min_size=1, max_size=3))
+@given(c=exact, h=exact, partition=basis_partitions, terms=words_of)
 def test_verma_chains_match_vector_path_and_oracle(c, h, partition, terms):
     key = (as_pair(c), as_pair(h))
     kernel = _kernel(partition, [(coeff, tuple(verma.act_column(a, *key) for a in word))
@@ -115,6 +118,45 @@ def test_verma_chains_match_vector_path_and_oracle(c, h, partition, terms):
     assert kernel == _combined(
         [(coeff, _oracle_chain(lambda a, p: oracles.verma_word_action((a,), p, c, h),
                                partition, word)) for coeff, word in terms])
+
+
+def _chain_sum_reference(v, terms):
+    """Sum over v's support of coeff * chain_sum(index, terms), in Fraction arithmetic."""
+    total = {}
+    for index, coeff in v.items():
+        table, den = chain_sum(index, terms)
+        for key, value in table.items():
+            total[key] = total.get(key, 0) + coeff * Fraction(value, den)
+    return {key: value for key, value in total.items() if value}
+
+
+vectors_of = st.lists(st.tuples(basis_partitions, exact), min_size=1, max_size=4)
+
+
+@settings(max_examples=60, deadline=None)
+@given(alpha=exact, c=exact, h=exact, coeffs=vectors_of, terms=terms_of, words=words_of)
+def test_apply_is_the_sum_of_chain_sums(alpha, c, h, coeffs, terms, words):
+    fock_terms = [(coeff, sum((_fock_factors(op, alpha) for op in ops), ()))
+                  for coeff, ops in terms]
+    u = fock.FockVector(alpha, coeffs)
+    image = apply(fock_terms, u)
+    assert type(image) is fock.FockVector and image.module == u.module
+    assert dict(image.items()) == _chain_sum_reference(u, fock_terms)
+
+    verma_terms = [(coeff, tuple(verma.act_column(a, as_pair(c), as_pair(h)) for a in word))
+                   for coeff, word in words]
+    v = verma.VermaVector(c, h, coeffs)
+    image = apply(verma_terms, v)
+    assert type(image) is verma.VermaVector and image.module == v.module
+    assert dict(image.items()) == _chain_sum_reference(v, verma_terms)
+
+    # The intertwining side: Verma input, Fock target, through the canonical map's images.
+    w = verma.VermaVector(1, alpha * alpha / 2, coeffs)
+    images = partial(verma._image, {}, as_pair(alpha))
+    sides = [(coeff, (images,) + chain) for coeff, chain in fock_terms]
+    image = apply(sides, w, fock.vacuum(alpha))
+    assert type(image) is fock.FockVector and image.module == (alpha,)
+    assert dict(image.items()) == _chain_sum_reference(w, sides)
 
 
 # The identities as the vector path states them: two module vectors per basis vector.

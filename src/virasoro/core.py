@@ -237,38 +237,57 @@ def bilinear_extend(pair_map: Callable, left: FreeVector, right: FreeVector, zer
     return type(zero)._reduce(table, den * left._den * right._den, zero.module)
 
 
-def chain_sum(index, terms: Iterable[tuple]) -> tuple[dict, int]:
-    """Sum of coeff * f_k(...f_1(e_index)) over terms (coeff, (f_1, ..., f_k)).
+def chain_tables(starts: Iterable, terms: Iterable[tuple]) -> tuple[list[dict], int]:
+    """Per start s, the table of sum of coeff * f_k(...f_1(e_s)) over (coeff, (f_1, ..., f_k)).
 
-    Each f maps a basis index to its image, a FreeVector (a cached column),
-    and the empty chain is the identity.  Every path through the columns
-    ends in one scaled column added to one table, with no intermediate
-    vector; the result is in `_accumulate` form.
+    Each f maps a basis index to its image, a FreeVector (a cached column);
+    the empty chain is the identity, and a term with coefficient 0 is
+    skipped.  Every path through the columns carries the slot of its start,
+    and its scaled last column is added into that start's integer table.
+    The tables share one denominator, all rescaled when its lcm grows; as in
+    `_accumulate`, they are not reduced and may keep cancelled entries as 0.
     """
-    return _accumulate(_chain_columns(index, terms))
-
-
-def _chain_columns(index, terms):
+    starts = list(starts)
+    tables, den = [{} for _ in starts], 1
     for coeff, chain in terms:
-        paths = [(coeff.numerator, coeff.denominator, index)]
+        if not coeff:
+            continue
+        paths = [(coeff.numerator, coeff.denominator, slot, start)
+                 for slot, start in enumerate(starts)]
         for f in chain[:-1]:
-            paths = [(value * entry, q * column._den, key) for value, q, start in paths
+            paths = [(value * entry, q * column._den, slot, key) for value, q, slot, start in paths
                      for column in (f(start),) for key, entry in column._num.items()]
-        for value, q, start in paths:
+        for value, q, slot, start in paths:
             column = chain[-1](start) if chain else FreeVector.basis(start)
-            yield value, q * column._den, column._num
+            q *= column._den
+            if den % q:
+                grown = lcm(den, q)
+                tables = [{key: grown // den * entry for key, entry in table.items()}
+                          for table in tables]
+                den = grown
+            value *= den // q
+            table = tables[slot]
+            for key, entry in column._num.items():
+                table[key] = table.get(key, 0) + value * entry
+    return tables, den
+
+
+def chain_sum(index, terms: Iterable[tuple]) -> tuple[dict, int]:
+    """The one-start case of chain_tables: the table of e_index and its denominator."""
+    tables, den = chain_tables((index,), terms)
+    return tables[0], den
 
 
 def apply(terms: list[tuple], v: FreeVector, target: FreeVector | None = None) -> FreeVector:
-    """Sum of coeff * f_k(...f_1(v)) over chain terms (coeff, (f_1, ..., f_k)), as in chain_sum.
+    """Sum of coeff * f_k(...f_1(v)) over chain terms (coeff, (f_1, ..., f_k)), as in chain_tables.
 
-    One `_accumulate` pass adds each index's chain sum scaled by its
-    numerator; the result is a vector of target's class and module, v's by
-    default.
+    The tables of v's support are summed, each scaled by its numerator, in
+    one `_accumulate` pass; the result is a vector of target's class and
+    module, v's by default.
     """
     target = v if target is None else target
-    table, den = _accumulate((value, q, column) for index, value in v._num.items()
-                             for column, q in (chain_sum(index, terms),))
+    tables, den = chain_tables(v._num, terms)
+    table, den = _accumulate((value, den, table) for value, table in zip(v._num.values(), tables))
     return type(target)._reduce(table, den * v._den, target.module)
 
 

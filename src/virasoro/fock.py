@@ -106,12 +106,12 @@ def normal_pair(k: int, l: int, v: FockVector) -> FockVector:
 def _sugawara_basis(n: int, partition: Partition, alpha: tuple[int, int]) -> FreeVector:
     """1/2 * sum of :J(n-k)J(k): on one basis vector, multiplied out of the J columns."""
     bound = partition[0] + 1 if partition else 1
-    # As in _pair_chain, the higher index acts first.
+    # h, the higher index, acts first as in _pair_chain.  The terms k = h and k = n - h are
+    # one product, so it is taken with weight 2 * 1/2 = 1, or 1/2 where h = n - h.
     return FreeVector._reduce(*_accumulate(
-        (value, 2 * first._den * second._den, second._num) for k in range(n - bound + 1, bound)
-        for first in (_j_basis(max(n - k, k), partition, alpha),)
-        for middle, value in first._num.items()
-        for second in (_j_basis(min(n - k, k), middle, alpha),)))
+        (value, first._den * second._den * (1 + (2 * h == n)), second._num)
+        for h in range((n + 1) // 2, bound) for first in (_j_basis(h, partition, alpha),)
+        for middle, value in first._num.items() for second in (_j_basis(n - h, middle, alpha),)))
 
 
 def sugawara_column(n: int, alpha: tuple[int, int]):

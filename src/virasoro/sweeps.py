@@ -4,10 +4,10 @@ A sweep checks one identity on every basis vector of a module up to a level
 bound, for each index record of a window.  The identity maps a record's
 indices to its two sides, each a list of chain terms (coeff, (f_1, ..., f_k))
 standing for the operator sum of coeff * f_k...f_1, every f a cached basis
-column (see `core.chain_sum`).  On a basis vector e the check adds lhs - rhs
-applied to e into one integer table; only when that defect is nonzero are
-the two sides applied to e by `core.apply`, the path of every vector-level
-operator, and rendered for the report.  The first vector where the sides
+column (see `core.chain_tables`).  One pass decides a record: it applies
+lhs - rhs to every basis vector e of the window into e's own integer table.
+Only where that defect is nonzero are the two sides applied to e by
+`core.apply` and rendered for the report.  The first vector where the sides
 differ, in canonical order (index records as listed, then partitions by
 level and lexicographically), is the counterexample.  Each record gets its
 own report; the sweep's report adds their counts up to the earliest failing
@@ -23,7 +23,7 @@ from contextlib import closing
 from dataclasses import replace
 from itertools import product
 
-from .core import ModuleVector, apply, chain_sum, partitions_up_to
+from .core import ModuleVector, apply, chain_tables, partitions_up_to
 from .reports import VerificationReport, counterexample, first_counterexample
 
 
@@ -52,16 +52,17 @@ def _sweep_task(task) -> VerificationReport:
     check_name, parameters, identity, indices, unit, target, max_level = task
     sides = identity(**indices)
     defect = sides[0] + [(-coeff, chain) for coeff, chain in sides[1]]
+    partitions = partitions_up_to(max_level)
+    tables, _ = chain_tables(partitions, defect)
 
-    def outcome(partition):
-        table, _ = chain_sum(partition, defect)
+    def outcome(partition, table):
         if not any(table.values()):
             return None
         vector = type(unit).basis(partition, module=unit.module)
         lhs, rhs = (apply(side, vector, target) for side in sides)
         return counterexample(indices, expected=str(rhs), actual=str(lhs), input_text=str(vector))
 
-    return first_counterexample(check_name, parameters, map(outcome, partitions_up_to(max_level)))
+    return first_counterexample(check_name, parameters, map(outcome, partitions, tables))
 
 
 def _merge(report: VerificationReport, records) -> VerificationReport:

@@ -160,6 +160,16 @@ class TestVerifyErrors:
         assert result.exit_code == 2
         assert "invalid index" in result.output
 
+    @pytest.mark.parametrize("command", [("verify", "cocycle"), ("reduce",)])
+    def test_diagonal_table_row_is_input_error(self, tmp_path, command):
+        # a table lists omega(m, n) for m < n only; a row m = n is rejected, not ignored
+        table = tmp_path / "table.tsv"
+        table.write_text(VIRASORO_TABLE.read_text(encoding="utf-8") + "3\t3\t1\n",
+                         encoding="utf-8")
+        result = invoke(*command, "--input", str(table), "--window", "4")
+        assert result.exit_code == 2, result.output
+        assert "require m < n, got (3, 3)" in result.output
+
     def test_unicode_minus_is_still_accepted(self, tmp_path):
         result = invoke("verify", "heisenberg", "--max-index", "1", "--max-level", "1",
                         "--alpha", "−3")

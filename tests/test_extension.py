@@ -185,6 +185,35 @@ class TestExtensionPredicate:
             "expected": "0 ⊕ 0·C", "actual": "0 ⊕ -2·C"}
 
 
+    def test_bracket_reading_the_centers_fails_the_projection_leg(self, monkeypatch):
+        original = ext.ext_bracket
+
+        def reads_centers(base, omega, u, v):
+            # invisible on basis pairs, where one side has no center or no body
+            extra = u.center * v.center * (u.body + v.body)
+            return original(base, omega, u, v) + ext.std_section(extra)
+
+        assert ext.check_extension_predicate(ext.WITT, co.VIRASORO, 2).passed()
+        monkeypatch.setattr(ext, "ext_bracket", reads_centers)
+        report = ext.check_extension_predicate(ext.WITT, co.VIRASORO, 2)
+        # the projection leg brackets (C + C, l(-2) - C)
+        assert report.to_text() == (
+            "FAIL extension-predicate base=witt cocycle=virasoro max_index=2 checked_count=22 "
+            "counterexample.actual='-2·l(-2)' counterexample.expected=0 "
+            "counterexample.indices.u=C counterexample.indices.v=-2 counterexample.leg=bracket")
+
+    def test_projection_keeping_the_center_fails_the_section_leg(self, monkeypatch):
+        # on the trivial extension of the abelian algebra every bracket is 0, so
+        # only proj(C) = 0 tells a projection that keeps C, here as l(0)
+        zero = co.CocycleOracle(lambda m, n: 0, "zero")
+        assert ext.check_extension_predicate(ext.ABELIAN, zero, 2).passed()
+        monkeypatch.setattr(ext, "proj", lambda u: u.body + FreeVector.basis(0, u.center))
+        report = ext.check_extension_predicate(ext.ABELIAN, zero, 2)
+        assert report.to_text() == (
+            "FAIL extension-predicate base=abelian cocycle=zero max_index=2 checked_count=312 "
+            "counterexample.actual='1·l(0)' counterexample.expected=0 "
+            "counterexample.indices.u=C counterexample.leg=section")
+
     def test_each_basis_bracket_is_computed_once(self, monkeypatch):
         calls = []
         original = ext.ext_bracket

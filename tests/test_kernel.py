@@ -1,6 +1,8 @@
-"""The chain kernel core.chain_sum against the vector path and the oracles.
+"""The chain kernel core.chain_tables against the vector path and the oracles.
 
-The module sweeps decide PASS on chain_sum alone.  Here every chain of
+The module sweeps decide each record on one chain_tables pass over its
+partitions, and chain_sum is its one-start case.  Here chain_tables is
+checked against a per-start Fraction reference, and every chain of
 operator columns is also applied one vector at a time (j_action,
 sugawara_l, normal_pair, l_action) and by the word-rewriting oracles; and
 whole sweeps, with one cached column corrupted at random, are rerun as the
@@ -19,7 +21,7 @@ from hypothesis import strategies as st
 
 import oracles
 from virasoro import fock, verma
-from virasoro.core import FreeVector, apply, as_pair, chain_sum
+from virasoro.core import FreeVector, apply, as_pair, chain_sum, chain_tables
 from virasoro.reports import counterexample
 from virasoro.sweeps import index_grid
 
@@ -159,6 +161,32 @@ def test_apply_is_the_sum_of_chain_sums(alpha, c, h, coeffs, terms, words):
     assert dict(image.items()) == _chain_sum_reference(w, sides)
 
 
+# Fock and Verma columns in one chain: the kernel reads partitions as opaque indices, and
+# the charge and (c, h) give the columns different denominators.
+mixed_ops = st.one_of(fock_ops, st.tuples(st.just("V"), small))
+mixed_terms = st.lists(st.tuples(exact, st.lists(mixed_ops, max_size=3)), max_size=4)
+
+
+@settings(max_examples=80, deadline=None)
+@given(alpha=exact, c=exact, h=exact, terms=mixed_terms,
+       starts=st.lists(st.sampled_from(fock.partitions_up_to(2)), max_size=6))
+def test_chain_tables_match_per_start_fractions(alpha, c, h, terms, starts):
+    def factors(op):
+        if op[0] == "V":
+            return (verma.act_column(op[1], as_pair(c), as_pair(h)),)
+        return _fock_factors(op, alpha)
+
+    chains = [(coeff, sum((factors(op) for op in ops), ())) for coeff, ops in terms]
+    event(f"{len(starts) - len(set(starts))} repeated starts")
+    tables, den = chain_tables(starts, chains)
+    assert len(tables) == len(starts) and den > 0
+    # the reference steps through Fraction vectors, one start at a time
+    for start, table in zip(starts, tables):
+        assert ({key: Fraction(value, den) for key, value in table.items() if value}
+                == _combined([(coeff, _oracle_chain(lambda f, p: dict(f(p).items()), start, chain))
+                              for coeff, chain in chains]))
+
+
 # The identities as the vector path states them: two module vectors per basis vector.
 
 def _heisenberg(k, l, v):
@@ -260,3 +288,64 @@ def test_corrupted_column_gives_the_same_report_on_both_paths(data, alpha, c, h,
             assert (report.status, report.checked_count, report.counterexample) == reference()
     finally:
         _clear_caches()
+
+
+A = Fraction(1, 2)
+
+
+@pytest.fixture
+def corrupt_j(monkeypatch):
+    """Adds e_p to J(k) e_p for each given (k, p), with the caches cleared around the test."""
+    original = fock._j_basis
+
+    def corrupt(*at):
+        @lru_cache(maxsize=None)
+        def corrupted(k, partition, alpha):
+            out = original(k, partition, alpha)
+            return out + FreeVector.basis(partition) if (k, partition) in at else out
+
+        monkeypatch.setattr(fock, "_j_basis", corrupted)
+
+    _clear_caches()
+    yield corrupt
+    monkeypatch.undo()
+    _clear_caches()
+
+
+def _failing_partitions(indices):
+    """The partitions whose heisenberg defect table is nonzero in the record of indices."""
+    lhs, rhs = fock._heisenberg(as_pair(A), **indices)
+    partitions = fock.partitions_up_to(3)
+    tables, _ = chain_tables(partitions, lhs + [(-coeff, chain) for coeff, chain in rhs])
+    return [partition for partition, table in zip(partitions, tables) if any(table.values())]
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_first_failure_at_the_last_partition_of_its_record(corrupt_j, jobs):
+    # J(0) on J(-3)|α⟩ is read first in record (k, l) = (-2, 0), the third of 25, and
+    # (3,) is the last of the 7 partitions up to level 3
+    corrupt_j((0, (3,)))
+    assert _failing_partitions({"k": -2, "l": 0}) == [fock.partitions_up_to(3)[-1]] == [(3,)]
+    report = fock.check_heisenberg_relations(2, 3, A, jobs)
+    assert (report.status, report.checked_count, report.counterexample) == _reference(
+        _heisenberg, index_grid(k=2, l=2), fock.vacuum(A), 3)
+    assert report.to_text() == (
+        "FAIL heisenberg-relations alpha=1/2 max_index=2 max_level=3 checked_count=21 "
+        "counterexample.actual='1·J(-3)J(-2)|α⟩' counterexample.expected=0 "
+        "counterexample.indices.k=-2 counterexample.indices.l=0 "
+        "counterexample.input='1·J(-3)|α⟩'")
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_two_failing_partitions_report_the_earlier(corrupt_j, jobs):
+    corrupt_j((0, (1,)), (0, (1, 1, 1)))
+    assert _failing_partitions({"k": -2, "l": 0}) == [(1,), (1, 1, 1)]
+    report = fock.check_heisenberg_relations(2, 3, A, jobs)
+    assert (report.status, report.checked_count, report.counterexample) == _reference(
+        _heisenberg, index_grid(k=2, l=2), fock.vacuum(A), 3)
+    # two records of 7 before, then (1,), the second partition of the record
+    assert report.to_text() == (
+        "FAIL heisenberg-relations alpha=1/2 max_index=2 max_level=3 checked_count=16 "
+        "counterexample.actual='1·J(-2)J(-1)|α⟩' counterexample.expected=0 "
+        "counterexample.indices.k=-2 counterexample.indices.l=0 "
+        "counterexample.input='1·J(-1)|α⟩'")

@@ -210,6 +210,11 @@ class TestUniversalMap:
         with pytest.raises(ValueError, match="alpha\\^2/2"):
             verma.universal_map(Fraction(1, 2), v)
 
+    def test_rejects_nonzero_weight_at_zero_charge(self):
+        v = verma.hw_vector(Fraction(1), Fraction(1, 2))
+        with pytest.raises(ValueError, match="alpha\\^2/2 = 0"):
+            verma.universal_map(0, v)
+
     def test_accepts_exact_match_only(self):
         a = Fraction(2, 3)
         assert not verma.universal_map(a, verma.hw_vector(1, Fraction(2, 9))).is_zero()

@@ -104,7 +104,8 @@ def main():
 @click.option("--virasoro", "use_virasoro", is_flag=True,
               help="Use the built-in Virasoro cocycle (kind 'cocycle').")
 @click.option("--jobs", type=click.IntRange(min=1), default=1, envvar="VIRA_JOBS",
-              show_default=True, help="Worker processes for operator sweeps.")
+              show_default=True, help="Worker processes for the module sweeps: heisenberg, "
+                                      "primary-field, normal-pair, sugawara, verma, intertwine.")
 @_format_option
 def verify(kind, window, max_index, max_level, alpha, c, h, input_path,
            use_virasoro, jobs, fmt):

@@ -291,31 +291,6 @@ def apply(terms: list[tuple], v: FreeVector, target: FreeVector | None = None) -
     return type(target)._reduce(table, den * v._den, target.module)
 
 
-class BracketTable(dict):
-    """The brackets of basis pairs, entry (i, j) computed by pair(i, j) on first use.
-
-    A bracket is bilinear, so [e_i, v] is the combination of the entries
-    (i, j) over v's support with v's coefficients; `jacobi_defect` adds the
-    three outer brackets of a basis triple that way, in one `_accumulate`
-    pass, into a vector of class `cls`.
-    """
-
-    def __init__(self, cls: type, pair: Callable):
-        super().__init__()
-        self.cls, self.pair = cls, pair
-
-    def __missing__(self, key):
-        value = self[key] = self.pair(*key)
-        return value
-
-    def jacobi_defect(self, i, j, k) -> FreeVector:
-        """[e_i, [e_j, e_k]] + [e_j, [e_k, e_i]] + [e_k, [e_i, e_j]]."""
-        return self.cls._reduce(*_accumulate(
-            (value, inner._den * column._den, column._num)
-            for outer, inner in ((i, self[j, k]), (j, self[k, i]), (k, self[i, j]))
-            for index, value in inner._num.items() for column in (self[outer, index],)))
-
-
 def as_pair(value: int | Fraction) -> tuple[int, int]:
     """Numerator and denominator of an exact scalar: a cache key that hashes ints."""
     return value.numerator, value.denominator

@@ -11,14 +11,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import partial
+from functools import lru_cache, partial
 from itertools import chain, product
 from math import lcm
 from typing import Callable
 
 from . import witt
 from .cohomology import CocycleOracle, OneCochain, virasoro_cocycle
-from .core import (ONE, ZERO, BracketTable, FreeVector, as_scalar, bilinear_extend,
+from .core import (ONE, ZERO, FreeVector, apply, as_scalar, bilinear_extend, chain_tables,
                    format_scalar)
 from .reports import VerificationReport, first_counterexample, mismatch
 
@@ -155,38 +155,43 @@ def check_extension_predicate(base: BaseAlgebra, omega: CocycleOracle,
             projecting it recovers the base bracket of the projections
             (checked on center-shifted pairs, so the centers are ignored);
       (iii) sections: proj(std_section(x)) = x and proj(emb(1)) = 0.
-    Each basis-pair bracket is computed once; the Jacobi defects are read off
-    those brackets by bilinearity.
+    Each basis-pair bracket is computed once.  The Jacobi instances of a
+    record (u, v) are decided for every w by one `core.chain_tables` pass
+    over those brackets (see `witt.jacobi_sides`).
     """
     parameters = {"max_index": str(max_index), "base": base.name,
                   "cocycle": omega.description}
     central, zero = emb(ONE), emb(ZERO)
     # labels and basis indices of C and of l(n) on the window
     labeled = [("C", ())] + [(str(n), (n,)) for n in range(-max_index, max_index + 1)]
-    table = BracketTable(ExtElement, lambda i, j: ext_bracket(
+    pair = lru_cache(maxsize=None)(lambda i, j: ext_bracket(
         base, omega, ExtElement.basis(i), ExtElement.basis(j)))
 
     def outcomes():
         # (i) centrality
         for label, i in labeled:
-            for key, side in ((((), i), "C"), ((i, ()), label)):
-                yield mismatch({"u": label, "left": side}, zero, table[key], format_element,
-                               leg="centrality")
+            for left, right, side in (((), i, "C"), (i, (), label)):
+                yield mismatch({"u": label, "left": side}, zero, pair(left, right),
+                               format_element, leg="centrality")
 
         # (ii) bracket compatibility
         for label, i in labeled:
-            yield mismatch({"u": label}, zero, table[i, i], format_element, leg="bracket")
+            yield mismatch({"u": label}, zero, pair(i, i), format_element, leg="bracket")
         for (label_u, i), (label_v, j) in product(labeled, repeat=2):
             indices = {"u": label_u, "v": label_v}
-            yield mismatch(indices, -table[j, i], table[i, j], format_element, leg="bracket")
+            yield mismatch(indices, -pair(j, i), pair(i, j), format_element, leg="bracket")
             u, v = ExtElement.basis(i), ExtElement.basis(j)
             yield mismatch(indices,
                            bilinear_extend(base.bracket_pair, proj(u), proj(v), FreeVector.zero()),
                            proj(ext_bracket(base, omega, u + central, v - central)),
                            witt.format_vector, leg="bracket")
-        for (label_u, i), (label_v, j), (label_w, k) in product(labeled, repeat=3):
-            yield mismatch({"u": label_u, "v": label_v, "w": label_w}, zero,
-                           table.jacobi_defect(i, j, k), format_element, leg="bracket")
+        for (label_u, i), (label_v, j) in product(labeled, repeat=2):
+            terms, _ = witt.jacobi_sides(pair, i, j)
+            tables, _ = chain_tables([k for _, k in labeled], terms)
+            for (label_w, k), table in zip(labeled, tables):
+                yield mismatch({"u": label_u, "v": label_v, "w": label_w}, zero,
+                               apply(terms, ExtElement.basis(k)), format_element,
+                               leg="bracket") if any(table.values()) else None
 
         # (iii) sections
         for n in range(-max_index, max_index + 1):

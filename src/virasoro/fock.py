@@ -16,7 +16,7 @@ from functools import lru_cache, partial
 from .core import (ZERO, FreeVector, ModuleVector, Partition, _accumulate, apply, as_pair,
                    as_scalar, format_scalar, partitions_of_level, partitions_up_to)
 from .reports import VerificationReport, first_counterexample, mismatch
-from .sweeps import index_grid, run_sweep
+from .sweeps import index_grid, module_counterexample, run_sweep
 
 # partitions_of_level and partitions_up_to enumerate the basis; importable from here.
 
@@ -148,8 +148,9 @@ def _sweep(check_name: str, identity, parameters: dict, tasks: list[dict], max_l
            alpha, jobs: int) -> VerificationReport:
     alpha = as_scalar(alpha)
     parameters |= {"max_level": str(max_level), "alpha": format_scalar(alpha)}
+    unit = vacuum(alpha)
     return run_sweep(check_name, parameters, partial(identity, as_pair(alpha)), tasks,
-                     vacuum(alpha), max_level, jobs)
+                     partitions_up_to(max_level), partial(module_counterexample, unit, unit), jobs)
 
 
 def _heisenberg(alpha, k, l):

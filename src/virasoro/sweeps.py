@@ -1,19 +1,20 @@
-"""The runner shared by the identity sweeps over partition-graded modules.
+"""The runner shared by the identity sweeps.
 
-A sweep checks one identity on every basis vector of a module up to a level
-bound, for each index record of a window.  The identity maps a record's
-indices to its two sides, each a list of chain terms (coeff, (f_1, ..., f_k))
-standing for the operator sum of coeff * f_k...f_1, every f a cached basis
-column (see `core.chain_tables`).  One pass decides a record: it applies
-lhs - rhs to every basis vector e of the window into e's own integer table.
-Only where that defect is nonzero are the two sides applied to e by
-`core.apply` and rendered for the report.  The first vector where the sides
-differ, in canonical order (index records as listed, then partitions by
-level and lexicographically), is the counterexample.  Each record gets its
-own report; the sweep's report adds their counts up to the earliest failing
-record.  A serial run starts no record after that one, and a parallel run
-cancels the records no worker has taken yet.  Workers compute records
-independently, so reports are identical for any job count.
+A sweep checks one identity on every start of a basis list (partitions of a
+module up to a level bound, or the indices of a window) for each index
+record.  The identity maps a record's indices to its two sides, each a list
+of chain terms (coeff, (f_1, ..., f_k)) standing for the operator sum of
+coeff * f_k...f_1, every f a cached basis column (see `core.chain_tables`).
+One pass decides a record: it applies lhs - rhs to every start into the
+start's own integer table, and the first start with a nonzero table, in
+canonical order (records as listed, then starts as listed), is rendered as
+the counterexample.  Each record gets its own report; the sweep's report
+adds their counts up to the earliest failing record.  A serial run starts
+no record after that one.  A parallel run cancels only the chunks still
+waiting in its pool: the workers' chunks and up to workers + 1 queued for
+them run on (60 of 81 records of heisenberg 4/4 failing at record 4, on 2
+workers).  Records are independent and the merge stops at the earliest
+failing one, so reports are identical for any job count.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from contextlib import closing
 from dataclasses import replace
 from itertools import product
 
-from .core import ModuleVector, apply, chain_tables, partitions_up_to
+from .core import ModuleVector, apply, chain_tables
 from .reports import VerificationReport, counterexample, first_counterexample
 
 
@@ -48,21 +49,21 @@ def worker_count(jobs: int, task_count: int) -> int:
     return min(jobs, cpus, task_count)
 
 
+def module_counterexample(unit: ModuleVector, target: ModuleVector, indices: dict,
+                          partition, sides) -> dict:
+    """The two sides applied to the basis vector partition of unit's module, into target's."""
+    vector = type(unit).basis(partition, module=unit.module)
+    lhs, rhs = (apply(side, vector, target) for side in sides)
+    return counterexample(indices, expected=str(rhs), actual=str(lhs), input_text=str(vector))
+
+
 def _sweep_task(task) -> VerificationReport:
-    check_name, parameters, identity, indices, unit, target, max_level = task
+    check_name, parameters, identity, indices, starts, render = task
     sides = identity(**indices)
-    defect = sides[0] + [(-coeff, chain) for coeff, chain in sides[1]]
-    partitions = partitions_up_to(max_level)
-    tables, _ = chain_tables(partitions, defect)
-
-    def outcome(partition, table):
-        if not any(table.values()):
-            return None
-        vector = type(unit).basis(partition, module=unit.module)
-        lhs, rhs = (apply(side, vector, target) for side in sides)
-        return counterexample(indices, expected=str(rhs), actual=str(lhs), input_text=str(vector))
-
-    return first_counterexample(check_name, parameters, map(outcome, partitions, tables))
+    tables, _ = chain_tables(starts, sides[0] + [(-coeff, chain) for coeff, chain in sides[1]])
+    return first_counterexample(check_name, parameters, (
+        render(indices, start, sides) if any(table.values()) else None
+        for start, table in zip(starts, tables)))
 
 
 def _merge(report: VerificationReport, records) -> VerificationReport:
@@ -74,24 +75,22 @@ def _merge(report: VerificationReport, records) -> VerificationReport:
     return report
 
 
-def run_sweep(check_name: str, parameters: dict, identity, tasks: list[dict],
-              unit: ModuleVector, max_level: int, jobs: int,
-              target: ModuleVector | None = None) -> VerificationReport:
-    """Check the sides identity(**indices) on every record and every basis vector.
+def run_sweep(check_name: str, parameters: dict, identity, tasks: list[dict], starts,
+              render, jobs: int) -> VerificationReport:
+    """Check the sides identity(**indices) on every record and every start.
 
-    The basis vectors are those of unit's module up to max_level; the two
-    sides are rendered as vectors of target's module, unit's by default.
-    The identity must be picklable when more than one worker runs.
+    render(indices, start, sides) gives the counterexample record of a start
+    where the sides differ.  The identity and render must be picklable when
+    more than one worker runs.
     """
-    target = unit if target is None else target
-    work = [(check_name, parameters, identity, indices, unit, target, max_level)
-            for indices in tasks]
+    work = [(check_name, parameters, identity, indices, starts, render) for indices in tasks]
     empty = first_counterexample(check_name, parameters, ())
     workers = worker_count(jobs, len(work))
     if workers <= 1:
         return _merge(empty, map(_sweep_task, work))
     from concurrent.futures import ProcessPoolExecutor
-    # Closing the result iterator cancels the chunks that have not started.
+    # Closing the result iterator cancels the chunks still waiting in the pool; the chunks
+    # already taken or queued for the workers run on, and the merge ignores their reports.
     with ProcessPoolExecutor(max_workers=workers) as pool, closing(pool.map(
             _sweep_task, work, chunksize=max(1, len(work) // (workers * 4)))) as records:
         return _merge(empty, records)

@@ -17,9 +17,9 @@ from functools import lru_cache, partial
 
 from . import fock
 from .core import ZERO, FreeVector, ModuleVector, apply, as_pair, as_scalar, format_scalar
-from .fock import Partition, as_partition
+from .fock import Partition, as_partition, partitions_up_to
 from .reports import VerificationReport, first_counterexample, mismatch
-from .sweeps import index_grid, run_sweep
+from .sweeps import index_grid, module_counterexample, run_sweep
 
 
 class VermaVector(ModuleVector):
@@ -95,8 +95,10 @@ def check_verma_relations(max_index: int, max_level: int, c, h,
     c, h = as_scalar(c), as_scalar(h)
     parameters = {"max_index": str(max_index), "max_level": str(max_level),
                   "c": format_scalar(c), "h": format_scalar(h)}
+    unit = hw_vector(c, h)
     return run_sweep("verma-relations", parameters, partial(_relations, as_pair(c), as_pair(h)),
-                     index_grid(n=max_index, m=max_index), hw_vector(c, h), max_level, jobs)
+                     index_grid(n=max_index, m=max_index), partitions_up_to(max_level),
+                     partial(module_counterexample, unit, unit), jobs)
 
 
 def verma_hw_check(c, h, max_index: int = 10) -> VerificationReport:
@@ -150,7 +152,8 @@ def check_intertwining(alpha, max_index: int, max_level: int,
     alpha = as_scalar(alpha)
     parameters = {"alpha": format_scalar(alpha), "max_index": str(max_index),
                   "max_level": str(max_level)}
+    render = partial(module_counterexample, hw_vector(1, alpha * alpha / 2), fock.vacuum(alpha))
     # The images are memoized for one sweep: they are built from the J columns in use.
     return run_sweep("fock-verma-intertwining", parameters,
                      partial(_intertwining, as_pair(alpha), {}), index_grid(a=max_index),
-                     hw_vector(1, alpha * alpha / 2), max_level, jobs, fock.vacuum(alpha))
+                     partitions_up_to(max_level), render, jobs)

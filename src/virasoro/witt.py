@@ -2,10 +2,12 @@
 
 from __future__ import annotations
 
-from itertools import product
+from functools import lru_cache, partial
+from typing import Callable
 
-from .core import BracketTable, FreeVector, bilinear_extend
-from .reports import VerificationReport, first_counterexample, mismatch
+from .core import FreeVector, apply, bilinear_extend
+from .reports import VerificationReport, counterexample
+from .sweeps import index_grid, run_sweep
 
 
 def bracket_pair(m: int, n: int) -> FreeVector:
@@ -31,20 +33,33 @@ def format_vector(v: FreeVector) -> str:
     return " + ".join(f"{coeff}·l({n})" for n, coeff in v.items())
 
 
+def jacobi_sides(pair: Callable, m, n) -> tuple[list, list]:
+    """[e_m, [e_n, x]] + [e_n, [x, e_m]] + [x, [e_m, e_n]] against 0, as chain terms in x.
+
+    With ad_a = [e_a, .] and R_a = [., e_a] read off pair, the bracket of two
+    basis indices, that is ad_m ad_n x + ad_n R_m x + sum_p c_p R_p x, where
+    [e_m, e_n] = sum_p c_p e_p.  No antisymmetry is assumed.
+    """
+    def right(a):
+        return lambda x: pair(x, a)
+
+    ad_n = partial(pair, n)
+    return [(1, (ad_n, partial(pair, m))), (1, (right(m), ad_n))] + [
+        (c, (right(p),)) for p, c in pair(m, n).items()], []
+
+
 def jacobi_basis_sweep(max_index: int) -> VerificationReport:
     """Jacobi identity over all basis triples with |m|, |n|, |k| <= max_index.
 
     Triples run in lexicographic order of (m, n, k); the first defect is
-    reported.  Each basis bracket [l(a), l(b)] is computed once, and every
-    defect is read off those brackets by bilinearity.
+    reported.  Each record (m, n) is decided by one `run_sweep` pass over
+    the window's l(k), reading every basis bracket [l(a), l(b)] once.
     """
-    indices = range(-max_index, max_index + 1)
-    table = BracketTable(FreeVector, bracket_pair)
+    def render(indices, k, sides):
+        return counterexample(indices | {"k": k}, expected="0",
+                              actual=format_vector(apply(sides[0], FreeVector.basis(k))))
 
-    def outcomes():
-        for m, n, k in product(indices, repeat=3):
-            defect = table.jacobi_defect(m, n, k)
-            yield mismatch({"m": m, "n": n, "k": k}, FreeVector.zero(), defect,
-                           format_vector) if defect else None
-
-    return first_counterexample("witt-jacobi", {"max_index": str(max_index)}, outcomes())
+    pair = lru_cache(maxsize=None)(bracket_pair)
+    return run_sweep("witt-jacobi", {"max_index": str(max_index)}, partial(jacobi_sides, pair),
+                     index_grid(m=max_index, n=max_index), range(-max_index, max_index + 1),
+                     render, 1)

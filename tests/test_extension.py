@@ -232,6 +232,46 @@ class TestExtensionPredicate:
         assert len(calls) == 64 + 64 + 8 * 4
 
 
+class TestJacobiOrderWithinRecord:
+    """The Jacobi leg decides a record (u, v) for all w in one pass; the report is still the
+    first w."""
+
+    def check(self, base, omega, text):
+        report = ext.check_extension_predicate(base, omega, 2)
+        assert report.to_text() == text
+        expected = extension_predicate_reference(
+            lambda m, n: dict(base.bracket_pair(m, n).items()), omega, 2)
+        assert (report.status, report.checked_count, report.counterexample) == expected
+
+    def test_last_w_of_a_record(self):
+        # omega(l(-1), l(0)) = 1 is not a cocycle: record (-2, -1) fails at w = 2 only
+        omega = co.CocycleOracle(lambda m, n: 1 if (m, n) == (-1, 0) else 0, "table")
+        self.check(ext.WITT, omega, (
+            "FAIL extension-predicate base=witt cocycle=table max_index=2 checked_count=144 "
+            "counterexample.actual='0 ⊕ 4·C' counterexample.expected='0 ⊕ 0·C' "
+            "counterexample.indices.u=-2 counterexample.indices.v=-1 "
+            "counterexample.indices.w=2 counterexample.leg=bracket"))
+
+    def test_earlier_of_two_failing_w(self):
+        # [l(-1), l(0)] = l(1), kept antisymmetric: record (-2, -1) fails at w = 0 and w = 2
+        def pair(m, n):
+            sign = {(-1, 0): 1, (0, -1): -1}.get((m, n))
+            return witt.bracket_pair(m, n) if sign is None else FreeVector.basis(1, sign)
+
+        broken = ext.BaseAlgebra("broken", pair)
+
+        def bracket(x, y):
+            return ext.ext_bracket(broken, co.VIRASORO, x, y)
+
+        u, v, w = map(ext._gen, (-2, -1, 2))
+        assert bracket(u, bracket(v, w)) + bracket(v, bracket(w, u)) + bracket(w, bracket(u, v))
+        self.check(broken, co.VIRASORO, (
+            "FAIL extension-predicate base=broken cocycle=virasoro max_index=2 checked_count=142 "
+            "counterexample.actual='-1·l(-3) + -3·l(-1) ⊕ 0·C' "
+            "counterexample.expected='0 ⊕ 0·C' counterexample.indices.u=-2 "
+            "counterexample.indices.v=-1 counterexample.indices.w=0 counterexample.leg=bracket"))
+
+
 @st.composite
 def extension_cases(draw):
     """A window 0..3 and a base algebra with a pairing to run the predicate on.

@@ -67,6 +67,52 @@ class TestJacobi:
             "counterexample.expected=0 counterexample.indices.k=-2 "
             "counterexample.indices.m=-2 counterexample.indices.n=-2")
 
+    def test_each_basis_bracket_is_computed_once(self, monkeypatch):
+        calls = []
+        original = witt.bracket_pair
+
+        def counted(m, n):
+            calls.append((m, n))
+            return original(m, n)
+
+        monkeypatch.setattr(witt, "bracket_pair", counted)
+        assert witt.jacobi_basis_sweep(3).passed()
+        assert calls and len(calls) == len(set(calls))
+
+
+def _changed_at(a, b, image):
+    """The Witt bracket with the basis pair (a, b) sent to image."""
+    original = witt.bracket_pair
+    return lambda m, n: image if (m, n) == (a, b) else original(m, n)
+
+
+class TestOrderWithinRecord:
+    """A record (m, n) is decided for all k in one pass; the report is still the first k."""
+
+    def check(self, monkeypatch, corrupted, text):
+        monkeypatch.setattr(witt, "bracket_pair", corrupted)
+        report = witt.jacobi_basis_sweep(2)
+        assert report.to_text() == text
+        expected = witt_jacobi_reference(lambda m, n: dict(corrupted(m, n).items()), 2)
+        assert (report.status, report.checked_count, report.counterexample) == expected
+
+    def test_last_k_of_a_record(self, monkeypatch):
+        # [l(-1), l(2)] = l(0): record (-2, -1) fails at k = 2 only
+        self.check(monkeypatch, _changed_at(-1, 2, FreeVector.basis(0)), (
+            "FAIL witt-jacobi max_index=2 checked_count=10 "
+            "counterexample.actual='-2·l(-2) + -9·l(-1)' counterexample.expected=0 "
+            "counterexample.indices.k=2 counterexample.indices.m=-2 counterexample.indices.n=-1"))
+
+    def test_earlier_of_two_failing_k(self, monkeypatch):
+        # [l(0), l(-1)] = 2·l(-1): record (-2, 0) fails at k = -1 and at k = 1
+        corrupted = _changed_at(0, -1, FreeVector.basis(-1, 2))
+        monkeypatch.setattr(witt, "bracket_pair", corrupted)
+        assert witt.jacobi_defect(*map(FreeVector.basis, (-2, 0, 1))) == FreeVector.basis(-1, 3)
+        self.check(monkeypatch, corrupted, (
+            "FAIL witt-jacobi max_index=2 checked_count=12 "
+            "counterexample.actual='-1·l(-3)' counterexample.expected=0 "
+            "counterexample.indices.k=-1 counterexample.indices.m=-2 counterexample.indices.n=0"))
+
 
 @st.composite
 def corrupted_brackets(draw):

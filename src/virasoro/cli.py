@@ -9,53 +9,66 @@ precondition failure during reduction).
 
 from __future__ import annotations
 
+import argparse
 import json
+import os
+import re
 import shlex
 import sys
 from fractions import Fraction
-
-import click
 
 from . import fock
 from .core import ScalarFormatError, format_scalar, parse_scalar
 from .reports import VerificationReport
 
-
-class ScalarParamType(click.ParamType):
-    name = "scalar"
-
-    def convert(self, value, param, ctx):
-        if isinstance(value, Fraction):
-            return value
-        try:
-            return parse_scalar(value)
-        except ScalarFormatError:
-            self.fail(f"invalid scalar {value!r}", param, ctx)
-
-
-SCALAR = ScalarParamType()
-
 KINDS = ["witt-jacobi", "cocycle", "extension", "virasoro-constants", "heisenberg",
          "primary-field", "normal-pair", "sugawara", "verma", "verma-hw",
          "intertwine", "sum-identity"]
 
-_format_option = click.option(
-    "--format", "fmt", type=click.Choice(["text", "json"]), default="text",
-    envvar="VIRA_FORMAT", show_default=True, help="Report format.")
-_window_option = click.option(
-    "--window", type=click.IntRange(min=0), default=8, show_default=True,
-    help="Index window for cohomology sweeps.")
+
+class _Parser(argparse.ArgumentParser):
+    """Options only in full, and a token such as -22/5 after an option read as its value."""
+
+    def __init__(self, **kwargs):
+        super().__init__(allow_abbrev=False, formatter_class=argparse.RawDescriptionHelpFormatter,
+                         **kwargs)
+        # argparse reads a token starting with "-" as an option unless it looks like a
+        # negative number, and its default pattern has no "/".
+        self._negative_number_matcher = re.compile(r"^-\d")
+
+
+def _scalar(text: str) -> Fraction:
+    try:
+        return parse_scalar(text)
+    except ScalarFormatError:
+        raise argparse.ArgumentTypeError(f"invalid scalar {text!r}") from None
+
+
+def _at_least(low: int):
+    def count(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"{value} is not in the range x>={low}")
+        return value
+    return count
+
+
+def _format(text: str) -> str:
+    # A type, not choices: argparse checks no choices on a default, here from VIRA_FORMAT.
+    if text not in ("text", "json"):
+        raise argparse.ArgumentTypeError(f"invalid choice: {text!r} (choose from 'text', 'json')")
+    return text
 
 
 def _echo_json(record: dict):
-    click.echo(json.dumps(record, sort_keys=True, separators=(",", ":")))
+    print(json.dumps(record, sort_keys=True, separators=(",", ":")))
 
 
 def _emit_report(report: VerificationReport, fmt: str):
     if fmt == "json":
         _echo_json(report.to_json_dict())
     else:
-        click.echo(report.to_text())
+        print(report.to_text())
 
 
 def _input_error(fmt: str, check_name: str, message: str):
@@ -63,14 +76,14 @@ def _input_error(fmt: str, check_name: str, message: str):
         _echo_json({"check_name": check_name, "status": "input_error",
                     "message": message})
     else:
-        click.echo(f"INPUT_ERROR {check_name} message={shlex.quote(message)}")
+        print(f"INPUT_ERROR {check_name} message={shlex.quote(message)}")
     sys.exit(2)
 
 
 def _load_oracle(fmt: str, check_name: str, use_virasoro: bool, input_path):
     from . import cohomology
     if use_virasoro == bool(input_path):
-        raise click.UsageError("exactly one of --virasoro or --input is required")
+        raise argparse.ArgumentError(None, "exactly one of --virasoro or --input is required")
     if use_virasoro:
         return cohomology.VIRASORO
     try:
@@ -79,36 +92,8 @@ def _load_oracle(fmt: str, check_name: str, use_virasoro: bool, input_path):
         _input_error(fmt, check_name, str(exc))
 
 
-@click.group()
-def main():
-    """Exact checks for Witt/Virasoro/Heisenberg bracket identities,
-    2-cocycle reduction, and current-algebra module constructions."""
-
-
-@main.command()
-@click.argument("kind", type=click.Choice(KINDS))
-@_window_option
-@click.option("--max-index", type=click.IntRange(min=0), default=None,
-              show_default="4; 10 for verma-hw",
-              help="Bound on generator indices in operator sweeps.")
-@click.option("--max-level", type=click.IntRange(min=0), default=5, show_default=True,
-              help="Bound on basis partition levels in module sweeps.")
-@click.option("--alpha", type=SCALAR, default=Fraction(1, 2), show_default="1/2",
-              help="Charge of the Fock module.")
-@click.option("--c", "c", type=SCALAR, default=Fraction(1), show_default="1",
-              help="Central charge of the highest-weight module.")
-@click.option("--h", "h", type=SCALAR, default=Fraction(1, 8), show_default="1/8",
-              help="Highest weight of the highest-weight module.")
-@click.option("--input", "input_path", type=click.Path(), default=None,
-              help="Cocycle table file (kind 'cocycle').")
-@click.option("--virasoro", "use_virasoro", is_flag=True,
-              help="Use the built-in Virasoro cocycle (kind 'cocycle').")
-@click.option("--jobs", type=click.IntRange(min=1), default=1, envvar="VIRA_JOBS",
-              show_default=True, help="Worker processes for the module sweeps: heisenberg, "
-                                      "primary-field, normal-pair, sugawara, verma, intertwine.")
-@_format_option
 def verify(kind, window, max_index, max_level, alpha, c, h, input_path,
-           use_virasoro, jobs, fmt):
+           use_virasoro, jobs, fmt) -> int:
     """Run the verification sweep KIND and print its report(s).
 
     witt-jacobi: Jacobi identity on basis triples, |indices| <= --max-index.
@@ -153,16 +138,10 @@ def verify(kind, window, max_index, max_level, alpha, c, h, input_path,
     reports = sweeps[kind]()
     for report in reports:
         _emit_report(report, fmt)
-    if any(not report.passed() for report in reports):
-        sys.exit(1)
+    return int(any(not report.passed() for report in reports))
 
 
-@main.command()
-@click.option("--input", "input_path", type=click.Path(), required=True,
-              help="Cocycle table file to reduce.")
-@_window_option
-@_format_option
-def reduce(input_path, window, fmt):
+def reduce(input_path, window, fmt) -> int:
     """Split a tabulated cocycle as r * virasoro + coboundary.
 
     Prints the correcting one-cochain (in the one-cochain file format), the
@@ -188,21 +167,13 @@ def reduce(input_path, window, fmt):
         })
         _echo_json(residual.to_json_dict())
     else:
-        click.echo(cohomology.dump_one_cochain(beta), nl=False)
-        click.echo(f"r\t{format_scalar(r)}")
-        click.echo(residual.to_text())
-    if not residual.passed():
-        sys.exit(1)
+        print(cohomology.dump_one_cochain(beta), end="")
+        print(f"r\t{format_scalar(r)}")
+        print(residual.to_text())
+    return int(not residual.passed())
 
 
-@main.command()
-@click.option("--input", "input_path", type=click.Path(), default=None,
-              help="Cocycle table file.")
-@click.option("--virasoro", "use_virasoro", is_flag=True,
-              help="Use the built-in Virasoro cocycle.")
-@_window_option
-@_format_option
-def nontrivial(input_path, use_virasoro, window, fmt):
+def nontrivial(input_path, use_virasoro, window, fmt) -> int:
     """Search for a coboundary-ratio mismatch certifying nontriviality.
 
     Prints the witness pair, or reports that none exists in the window.
@@ -219,8 +190,54 @@ def nontrivial(input_path, use_virasoro, window, fmt):
         })
     else:
         shown = f"{witness[0]},{witness[1]}" if witness else "none"
-        click.echo(f"WITNESS nontriviality-witness cocycle={shlex.quote(oracle.description)} "
-                   f"window={window} witness={shown}")
+        print(f"WITNESS nontriviality-witness cocycle={shlex.quote(oracle.description)} "
+              f"window={window} witness={shown}")
+    return 0
+
+
+def main(args=None, prog_name=None):
+    """Parse args (default sys.argv[1:]), run the command and exit with its status."""
+    parser = _Parser(prog=prog_name or "vira", description=__doc__)
+    commands = parser.add_subparsers(required=True)
+    parsers = {run: commands.add_parser(run.__name__, help=run.__doc__.splitlines()[0],
+                                        description=run.__doc__)
+               for run in (verify, reduce, nontrivial)}
+    for run, command in parsers.items():
+        command.set_defaults(run=run)
+        command.add_argument("--window", type=_at_least(0), default=8, metavar="N",
+                             help="Index window for cohomology sweeps (default: 8).")
+        command.add_argument("--format", dest="fmt", type=_format, metavar="{text,json}",
+                             default=os.environ.get("VIRA_FORMAT") or "text",
+                             help="Report format (default: text, or VIRA_FORMAT).")
+        command.add_argument("--input", dest="input_path", metavar="FILE", required=run is reduce,
+                             help="Cocycle table file.")
+        if run is not reduce:
+            command.add_argument("--virasoro", dest="use_virasoro", action="store_true",
+                                 help="Use the built-in Virasoro cocycle.")
+    command = parsers[verify]
+    command.add_argument("kind", choices=KINDS, metavar="KIND", help=", ".join(KINDS))
+    command.add_argument("--max-index", type=_at_least(0), metavar="N",
+                         help="Bound on generator indices in operator sweeps "
+                              "(default: 4; 10 for verma-hw).")
+    command.add_argument("--max-level", type=_at_least(0), default=5, metavar="N",
+                         help="Bound on basis partition levels in module sweeps (default: 5).")
+    command.add_argument("--alpha", type=_scalar, default=Fraction(1, 2), metavar="Q",
+                         help="Charge of the Fock module (default: 1/2).")
+    command.add_argument("--c", type=_scalar, default=Fraction(1), metavar="Q",
+                         help="Central charge of the highest-weight module (default: 1).")
+    command.add_argument("--h", type=_scalar, default=Fraction(1, 8), metavar="Q",
+                         help="Highest weight of the highest-weight module (default: 1/8).")
+    command.add_argument("--jobs", type=_at_least(1), default=os.environ.get("VIRA_JOBS") or 1,
+                         metavar="N", help="Worker processes for the module sweeps: heisenberg, "
+                         "primary-field, normal-pair, sugawara, verma, intertwine (default: 1, "
+                         "or VIRA_JOBS).")
+    options = vars(parser.parse_args(args))
+    run = options.pop("run")
+    try:
+        status = run(**options)
+    except argparse.ArgumentError as exc:
+        parsers[run].error(str(exc))
+    sys.exit(status)
 
 
 if __name__ == "__main__":

@@ -9,12 +9,11 @@ cocycle, and the abelian algebra of currents with the Heisenberg cocycle.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, partial
 from itertools import chain, product
 from math import lcm
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from . import witt
 from .cohomology import CocycleOracle, OneCochain, virasoro_cocycle
@@ -23,8 +22,7 @@ from .core import (ONE, ZERO, FreeVector, apply, as_scalar, bilinear_extend, cha
 from .reports import VerificationReport, first_counterexample, mismatch
 
 
-@dataclass(frozen=True)
-class BaseAlgebra:
+class BaseAlgebra(NamedTuple):
     """Integer-indexed Lie algebra given by its bracket on basis pairs."""
     name: str
     bracket_pair: Callable[[int, int], FreeVector]

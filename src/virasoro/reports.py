@@ -8,15 +8,14 @@ only) the first counterexample in the sweep's canonical order.
 from __future__ import annotations
 
 import shlex
-from dataclasses import dataclass
+from typing import NamedTuple
 
 PASS = "pass"
 FAIL = "fail"
 INPUT_ERROR = "input_error"
 
 
-@dataclass(frozen=True)
-class VerificationReport:
+class VerificationReport(NamedTuple):
     check_name: str
     parameters: dict
     status: str

@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import os
 from contextlib import closing
-from dataclasses import replace
 from itertools import product
 
 from .core import ModuleVector, apply, chain_tables
@@ -69,7 +68,7 @@ def _sweep_task(task) -> VerificationReport:
 def _merge(report: VerificationReport, records) -> VerificationReport:
     """Add the records' counts to report's, up to and including the first failing one."""
     for record in records:
-        report = replace(record, checked_count=report.checked_count + record.checked_count)
+        report = record._replace(checked_count=report.checked_count + record.checked_count)
         if not record.passed():
             break
     return report

@@ -13,10 +13,8 @@ from contextlib import contextmanager
 from fractions import Fraction
 
 import pytest
-from click.testing import CliRunner
 
-from conftest import DATA, GOLDEN
-from virasoro import cli
+from conftest import DATA, GOLDEN, invoke
 from virasoro import cohomology as co
 from virasoro import extension as ext
 from virasoro import fock, verma, witt
@@ -239,11 +237,10 @@ FAILING_GOLDENS = {"cocycle_fail.jsonl", "cocycle_fail.txt"}
 
 def test_14_cli_contract():
     with criterion(14, "CLI reports are byte-stable and exit codes follow the contract"):
-        runner = CliRunner()
         for name, args in GOLDEN_COMMANDS.items():
             frozen = (GOLDEN / name).read_text(encoding="utf-8")
-            first = runner.invoke(cli.main, args, catch_exceptions=False)
-            second = runner.invoke(cli.main, args, catch_exceptions=False)
+            first = invoke(*args)
+            second = invoke(*args)
             assert first.output == second.output, name
             assert first.output == frozen, name
             # exit codes: 0 all pass, 1 some check failed
@@ -260,4 +257,4 @@ def test_14_cli_contract():
             ["nontrivial", "--virasoro", "--input", str(DATA / "sign_window3.tsv")],
         ]
         for args in garbage:
-            assert runner.invoke(cli.main, args).exit_code == 2, shlex.join(args)
+            assert invoke(*args).exit_code == 2, shlex.join(args)

@@ -1,22 +1,18 @@
 import json
+import os
 import shlex
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
-from click.testing import CliRunner
 
-from conftest import DATA
+from conftest import DATA, SRC, invoke
 from virasoro import cli
 from virasoro import cohomology as co
 
-runner = CliRunner()
-
 VIRASORO_TABLE = DATA / "virasoro_window8.tsv"
 SIGN_TABLE = DATA / "sign_window3.tsv"
-
-
-def invoke(*args, env=None):
-    return runner.invoke(cli.main, list(args), env=env, catch_exceptions=False)
 
 
 def json_lines(result):
@@ -273,3 +269,78 @@ class TestNontrivial:
 
     def test_requires_exactly_one_source(self):
         assert invoke("nontrivial", "--window", "4").exit_code == 2
+
+
+class TestContract:
+    """What the command line accepts and rejects, independent of how it parses."""
+
+    def test_negative_scalar_as_its_own_token(self):
+        result = invoke("verify", "heisenberg", "--max-index", "1", "--max-level", "1",
+                        "--alpha", "-1/2")
+        assert result.exit_code == 0, result.output
+        assert "alpha=-1/2" in result.output
+
+    @pytest.mark.parametrize("env", [{"VIRA_FORMAT": "xml"}, {"VIRA_JOBS": "0"}])
+    def test_invalid_environment_default_exits_two(self, env):
+        assert invoke("verify", "sum-identity", env=env).exit_code == 2
+
+    def test_abbreviated_option_exits_two(self):
+        assert invoke("verify", "sum-identity", "--max-ind", "3").exit_code == 2
+
+    def test_negative_bound_exits_two(self):
+        assert invoke("verify", "sum-identity", "--max-index", "-1").exit_code == 2
+
+    def test_verify_help(self):
+        result = invoke("verify", "--help")
+        assert result.exit_code == 0
+        assert "--max-index" in result.output
+
+    def test_usage_error_goes_to_stderr(self, capsys):
+        with pytest.raises(SystemExit) as exit:
+            cli.main(args=["verify", "sugawara", "--alpha", "1/0"], prog_name="vira")
+        assert exit.value.code == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "invalid scalar" in err
+
+    def test_main_exits_with_the_command_status(self, capsys):
+        with pytest.raises(SystemExit) as passed:
+            cli.main(args=["verify", "sum-identity", "--max-index", "3"], prog_name="vira")
+        assert passed.value.code == 0
+        with pytest.raises(SystemExit) as failed:
+            cli.main(args=["verify", "cocycle", "--input", str(SIGN_TABLE), "--window", "3"],
+                     prog_name="vira")
+        assert failed.value.code == 1
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0].startswith("PASS weighted-sum-identity")
+        assert lines[1].startswith("FAIL cocycle-identity")
+
+
+# One serial command of each family, run as `python -m virasoro.cli`.
+FAMILIES = {
+    "fock": ("verify", "sugawara", "--max-index", "1", "--max-level", "1"),
+    "verma": ("verify", "verma", "--max-index", "1", "--max-level", "1"),
+    "witt-jacobi": ("verify", "witt-jacobi", "--max-index", "1"),
+    "cocycle": ("verify", "cocycle", "--virasoro", "--window", "2"),
+    "reduce": ("reduce", "--input", str(VIRASORO_TABLE), "--window", "4"),
+    "nontrivial": ("nontrivial", "--virasoro", "--window", "4"),
+}
+# Modules a serial command does not use: each costs start-up time in every process.
+UNUSED_MODULES = {"click", "dataclasses", "inspect", "concurrent.futures", "multiprocessing"}
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_serial_command_imports_only_what_it_uses(family):
+    # -X importtime writes a line to stderr as each import finishes; those after the line
+    # of `site` are the command's own, not the interpreter's start-up.
+    env = {key: value for key, value in os.environ.items()
+           if key not in ("VIRA_FORMAT", "VIRA_JOBS")}
+    env["PYTHONPATH"] = str(SRC)
+    run = subprocess.run([sys.executable, "-X", "importtime", "-m", "virasoro.cli",
+                          *FAMILIES[family]], env=env, capture_output=True, text=True)
+    assert run.returncode == 0, run.stderr
+    names = [line.rsplit("|", 1)[1].strip() for line in run.stderr.splitlines()
+             if line.startswith("import time:")]
+    loaded = set(names[names.index("site") + 1:])
+    assert "virasoro.reports" in loaded
+    assert loaded & UNUSED_MODULES == set()

@@ -214,6 +214,8 @@ class TestUniversalMap:
         v = verma.hw_vector(Fraction(1), Fraction(1, 2))
         with pytest.raises(ValueError, match="alpha\\^2/2 = 0"):
             verma.universal_map(0, v)
+        with pytest.raises(ValueError, match="alpha\\^2/2 = 0"):
+            verma.universal_map(0, verma.hw_vector(1, Fraction(1, 8)))
 
     def test_accepts_exact_match_only(self):
         a = Fraction(2, 3)

@@ -18,8 +18,8 @@ import sys
 from fractions import Fraction
 
 from . import fock
-from .core import ScalarFormatError, format_scalar, parse_scalar
-from .reports import VerificationReport
+from .core import ScalarFormatError, format_scalar, parse_integer, parse_scalar
+from .reports import INPUT_ERROR, VerificationReport
 
 KINDS = ["witt-jacobi", "cocycle", "extension", "virasoro-constants", "heisenberg",
          "primary-field", "normal-pair", "sugawara", "verma", "verma-hw",
@@ -46,7 +46,7 @@ def _scalar(text: str) -> Fraction:
 
 def _at_least(low: int):
     def count(text: str) -> int:
-        value = int(text)
+        value = parse_integer(text)  # argparse reports its ValueError as an invalid value
         if value < low:
             raise argparse.ArgumentTypeError(f"{value} is not in the range x>={low}")
         return value
@@ -73,10 +73,9 @@ def _emit_report(report: VerificationReport, fmt: str):
 
 def _input_error(fmt: str, check_name: str, message: str):
     if fmt == "json":
-        _echo_json({"check_name": check_name, "status": "input_error",
-                    "message": message})
+        _echo_json({"check_name": check_name, "status": INPUT_ERROR, "message": message})
     else:
-        print(f"INPUT_ERROR {check_name} message={shlex.quote(message)}")
+        print(f"{INPUT_ERROR.upper()} {check_name} message={shlex.quote(message)}")
     sys.exit(2)
 
 
@@ -107,8 +106,8 @@ def verify(kind, window, max_index, max_level, alpha, c, h, input_path,
     (--c, --h).  intertwine: the canonical module map commutes with the
     generators.  sum-identity: the weighted sum formula for n <= --max-index.
     """
-    if max_index is None and kind != "verma-hw":
-        max_index = 4
+    if max_index is None:
+        max_index = 10 if kind == "verma-hw" else 4
     # Each kind imports what it runs: a Fock command loads no Verma, bracket or cocycle module.
     if kind in ("verma", "verma-hw", "intertwine"):
         from . import verma
@@ -130,8 +129,7 @@ def verify(kind, window, max_index, max_level, alpha, c, h, input_path,
             fock.sweep_normal_pair(max_index, max_index, max_level, alpha, jobs)],
         "sugawara": lambda: [fock.check_sugawara_commutator(max_index, max_level, alpha, jobs)],
         "verma": lambda: [verma.check_verma_relations(max_index, max_level, c, h, jobs)],
-        "verma-hw": lambda: [verma.verma_hw_check(c, h) if max_index is None
-                             else verma.verma_hw_check(c, h, max_index)],
+        "verma-hw": lambda: [verma.verma_hw_check(c, h, max_index)],
         "intertwine": lambda: [verma.check_intertwining(alpha, max_index, max_level, jobs)],
         "sum-identity": lambda: [fock.check_weighted_sum(max_index)],
     }

@@ -12,12 +12,14 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from fractions import Fraction
+from itertools import product
 from pathlib import Path
 from typing import Callable, Iterable, Mapping
 
 from .core import (ZERO, FreeVector, ScalarFormatError, as_scalar, format_scalar, parse_integer,
                    parse_scalar)
-from .reports import VerificationReport, counterexample, mismatch, sweep_report
+from .reports import (VerificationReport, counterexample, first_counterexample, mismatch,
+                      sweep_report)
 
 
 class TableFormatError(ValueError):
@@ -166,7 +168,7 @@ def reduce_cocycle(omega: CocycleOracle, window: int):
     and the residual sweep verifies omega + d beta = r * virasoro on every
     pair of the window.  Both sides are antisymmetric, so the first failing
     pair in lexicographic order has m < n and only those pairs are compared;
-    a FAIL's checked count is the pair's rank among all (2W+1)^2.
+    every other pair of the (2W+1)^2 counts as holding.
 
     A cocycle-identity failure on the window is a rejected input
     (CocycleIdentityError), not a failing report.
@@ -187,15 +189,10 @@ def reduce_cocycle(omega: CocycleOracle, window: int):
     r = 2 * (omega(2, -2) + 4 * beta.value(0))
 
     parameters = {"window": str(window), "cocycle": omega.description, "r": format_scalar(r)}
-    side = 2 * window + 1
-    for m in range(-window, window + 1):
-        for n in range(m + 1, window + 1):
-            found = mismatch({"m": m, "n": n}, r * virasoro_cocycle(m, n),
-                             omega(m, n) + (m - n) * beta.value(m + n), format_scalar)
-            if found is not None:
-                rank = (m + window) * side + n + window + 1
-                return beta, r, sweep_report("cocycle-reduction-residual", parameters, rank, found)
-    return beta, r, sweep_report("cocycle-reduction-residual", parameters, side ** 2)
+    return beta, r, first_counterexample("cocycle-reduction-residual", parameters, (
+        mismatch({"m": m, "n": n}, r * virasoro_cocycle(m, n),
+                 omega(m, n) + (m - n) * beta.value(m + n), format_scalar) if m < n else None
+        for m, n in product(range(-window, window + 1), repeat=2)))
 
 
 def nontriviality_witness(omega: CocycleOracle, window: int):

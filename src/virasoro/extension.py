@@ -17,9 +17,9 @@ from typing import Callable, NamedTuple
 
 from . import witt
 from .cohomology import CocycleOracle, OneCochain, virasoro_cocycle
-from .core import (ONE, ZERO, FreeVector, apply, as_scalar, bilinear_extend, chain_tables,
-                   format_scalar)
-from .reports import VerificationReport, first_counterexample, mismatch
+from .core import ONE, ZERO, FreeVector, apply, as_scalar, bilinear_extend, format_scalar
+from .reports import VerificationReport, counterexample, first_counterexample, mismatch
+from .sweeps import decide_record
 
 
 class BaseAlgebra(NamedTuple):
@@ -154,7 +154,7 @@ def check_extension_predicate(base: BaseAlgebra, omega: CocycleOracle,
             (checked on center-shifted pairs, so the centers are ignored);
       (iii) sections: proj(std_section(x)) = x and proj(emb(1)) = 0.
     Each basis-pair bracket is computed once.  The Jacobi instances of a
-    record (u, v) are decided for every w by one `core.chain_tables` pass
+    record (u, v) are decided for every w by one `sweeps.decide_record` pass
     over those brackets (see `witt.jacobi_sides`).
     """
     parameters = {"max_index": str(max_index), "base": base.name,
@@ -164,6 +164,13 @@ def check_extension_predicate(base: BaseAlgebra, omega: CocycleOracle,
     labeled = [("C", ())] + [(str(n), (n,)) for n in range(-max_index, max_index + 1)]
     pair = lru_cache(maxsize=None)(lambda i, j: ext_bracket(
         base, omega, ExtElement.basis(i), ExtElement.basis(j)))
+    name = {i: text for text, i in labeled}
+
+    def jacobi_failure(indices, k, sides):
+        return counterexample({"u": name[indices["m"]], "v": name[indices["n"]], "w": name[k]},
+                              expected=format_element(zero),
+                              actual=format_element(apply(sides[0], ExtElement.basis(k))),
+                              leg="bracket")
 
     def outcomes():
         # (i) centrality
@@ -183,13 +190,9 @@ def check_extension_predicate(base: BaseAlgebra, omega: CocycleOracle,
                            bilinear_extend(base.bracket_pair, proj(u), proj(v), FreeVector.zero()),
                            proj(ext_bracket(base, omega, u + central, v - central)),
                            witt.format_vector, leg="bracket")
-        for (label_u, i), (label_v, j) in product(labeled, repeat=2):
-            terms, _ = witt.jacobi_sides(pair, i, j)
-            tables, _ = chain_tables([k for _, k in labeled], terms)
-            for (label_w, k), table in zip(labeled, tables):
-                yield mismatch({"u": label_u, "v": label_v, "w": label_w}, zero,
-                               apply(terms, ExtElement.basis(k)), format_element,
-                               leg="bracket") if any(table.values()) else None
+        for i, j in product(name, repeat=2):
+            yield from decide_record(partial(witt.jacobi_sides, pair), list(name), jacobi_failure,
+                                     {"m": i, "n": j})
 
         # (iii) sections
         for n in range(-max_index, max_index + 1):

@@ -5,23 +5,25 @@ module up to a level bound, or the indices of a window) for each index
 record.  The identity maps a record's indices to its two sides, each a list
 of chain terms (coeff, (f_1, ..., f_k)) standing for the operator sum of
 coeff * f_k...f_1, every f a cached basis column (see `core.chain_tables`).
-One pass decides a record: it applies lhs - rhs to every start into the
-start's own integer table, and the first start with a nonzero table, in
-canonical order (records as listed, then starts as listed), is rendered as
-the counterexample.  Each record gets its own report; the sweep's report
-adds their counts up to the earliest failing record.  A serial run starts
-no record after that one.  A parallel run cancels only the chunks still
-waiting in its pool: the workers' chunks and up to workers + 1 queued for
-them run on (60 of 81 records of heisenberg 4/4 failing at record 4, on 2
-workers).  Records are independent and the merge stops at the earliest
-failing one, so reports are identical for any job count.
+`decide_record` decides a record in one pass: it applies lhs - rhs to every
+start into the start's own integer table, and returns None for each start
+that holds, up to and including the first start with a nonzero table, which
+is rendered as the counterexample.  `run_sweep` chains these outcomes, in
+canonical order (records as listed, then starts as listed), into
+`reports.first_counterexample`, which counts them up to the first
+counterexample.  A serial run decides no record after the failing one.  A
+parallel run cancels only the chunks still waiting in its pool: the workers'
+chunks and up to workers + 1 queued for them run on (60 of 81 records of
+heisenberg 4/4 failing at record 4, on 2 workers), and the count ignores
+their outcomes.  So reports are identical for any job count.
 """
 
 from __future__ import annotations
 
 import os
 from contextlib import closing
-from itertools import product
+from functools import partial
+from itertools import chain, product
 
 from .core import ModuleVector, apply, chain_tables
 from .reports import VerificationReport, counterexample, first_counterexample
@@ -56,22 +58,18 @@ def module_counterexample(unit: ModuleVector, target: ModuleVector, indices: dic
     return counterexample(indices, expected=str(rhs), actual=str(lhs), input_text=str(vector))
 
 
-def _sweep_task(task) -> VerificationReport:
-    check_name, parameters, identity, indices, starts, render = task
+def decide_record(identity, starts, render, indices: dict) -> list:
+    """The outcomes of one record, from one chain_tables pass of lhs - rhs over the starts.
+
+    None for each start that holds, up to and including the first
+    counterexample, render(indices, start, sides).
+    """
     sides = identity(**indices)
-    tables, _ = chain_tables(starts, sides[0] + [(-coeff, chain) for coeff, chain in sides[1]])
-    return first_counterexample(check_name, parameters, (
-        render(indices, start, sides) if any(table.values()) else None
-        for start, table in zip(starts, tables)))
-
-
-def _merge(report: VerificationReport, records) -> VerificationReport:
-    """Add the records' counts to report's, up to and including the first failing one."""
-    for record in records:
-        report = record._replace(checked_count=report.checked_count + record.checked_count)
-        if not record.passed():
-            break
-    return report
+    tables, _ = chain_tables(starts, sides[0] + [(-coeff, factors) for coeff, factors in sides[1]])
+    for held, (start, table) in enumerate(zip(starts, tables)):
+        if any(table.values()):
+            return [None] * held + [render(indices, start, sides)]
+    return [None] * len(tables)
 
 
 def run_sweep(check_name: str, parameters: dict, identity, tasks: list[dict], starts,
@@ -82,14 +80,13 @@ def run_sweep(check_name: str, parameters: dict, identity, tasks: list[dict], st
     where the sides differ.  The identity and render must be picklable when
     more than one worker runs.
     """
-    work = [(check_name, parameters, identity, indices, starts, render) for indices in tasks]
-    empty = first_counterexample(check_name, parameters, ())
-    workers = worker_count(jobs, len(work))
+    decide = partial(decide_record, identity, starts, render)
+    workers = worker_count(jobs, len(tasks))
     if workers <= 1:
-        return _merge(empty, map(_sweep_task, work))
+        return first_counterexample(check_name, parameters, chain.from_iterable(map(decide, tasks)))
     from concurrent.futures import ProcessPoolExecutor
     # Closing the result iterator cancels the chunks still waiting in the pool; the chunks
-    # already taken or queued for the workers run on, and the merge ignores their reports.
+    # already taken or queued for the workers run on, and the count ignores their outcomes.
     with ProcessPoolExecutor(max_workers=workers) as pool, closing(pool.map(
-            _sweep_task, work, chunksize=max(1, len(work) // (workers * 4)))) as records:
-        return _merge(empty, records)
+            decide, tasks, chunksize=max(1, len(tasks) // (workers * 4)))) as records:
+        return first_counterexample(check_name, parameters, chain.from_iterable(records))

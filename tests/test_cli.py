@@ -290,6 +290,21 @@ class TestContract:
     def test_negative_bound_exits_two(self):
         assert invoke("verify", "sum-identity", "--max-index", "-1").exit_code == 2
 
+    # int() reads other scripts' digits, "_" separators and "+"; the integer options do not
+    @pytest.mark.parametrize("value", ["３", "٣", "1_0", "+3"])
+    @pytest.mark.parametrize("option", ["--max-index", "--max-level", "--window", "--jobs",
+                                        "VIRA_JOBS"])
+    def test_integer_option_takes_ascii_digits_only(self, monkeypatch, capsys, option, value):
+        args = ["verify", "sum-identity"]
+        if option == "VIRA_JOBS":
+            monkeypatch.setenv(option, value)
+        else:
+            args += [option, value]
+        with pytest.raises(SystemExit) as exit:
+            cli.main(args=args, prog_name="vira")
+        assert exit.value.code == 2
+        assert capsys.readouterr().out == ""
+
     def test_verify_help(self):
         result = invoke("verify", "--help")
         assert result.exit_code == 0

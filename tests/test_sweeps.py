@@ -210,6 +210,21 @@ def test_parallel_sweep_stops_at_the_earliest_failing_record(j_defect, monkeypat
     assert len(handed) == 3
 
 
+def test_serial_sweep_decides_no_record_after_its_first_failing_one(j_defect, monkeypatch):
+    decided = []
+    decide = sweeps.decide_record
+
+    def counting(identity, starts, render, indices):
+        decided.append(indices)
+        return decide(identity, starts, render, indices)
+
+    monkeypatch.setattr(sweeps, "decide_record", counting)
+    report = fock.check_heisenberg_relations(2, 3, A, jobs=1)
+    # the failing record (k, l) = (-2, 0) is the third of 25
+    assert report.counterexample["indices"] == {"k": "-2", "l": "0"}
+    assert decided == [{"k": -2, "l": -2}, {"k": -2, "l": -1}, {"k": -2, "l": 0}]
+
+
 def test_one_task_sweep_starts_no_pool(monkeypatch):
     def no_pool(*args, **kwargs):
         raise AssertionError("a one-task sweep must run serially")

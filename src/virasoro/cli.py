@@ -10,6 +10,7 @@ precondition failure during reduction).
 from __future__ import annotations
 
 import argparse
+import importlib
 import json
 import os
 import re
@@ -17,13 +18,15 @@ import shlex
 import sys
 from fractions import Fraction
 
-from . import fock
 from .core import ScalarFormatError, format_scalar, parse_integer, parse_scalar
 from .reports import INPUT_ERROR, VerificationReport
 
-KINDS = ["witt-jacobi", "cocycle", "extension", "virasoro-constants", "heisenberg",
-         "primary-field", "normal-pair", "sugawara", "verma", "verma-hw",
-         "intertwine", "sum-identity"]
+# Each verify kind imports exactly the library modules it runs, as globals of this module,
+# and so loads nothing else of the package beyond what those import (verma imports fock).
+KINDS = {"witt-jacobi": "witt", "cocycle": "cohomology", "extension": "cohomology extension",
+         "virasoro-constants": "extension", "heisenberg": "extension fock",
+         "primary-field": "fock", "normal-pair": "fock", "sugawara": "fock", "verma": "verma",
+         "verma-hw": "verma", "intertwine": "verma", "sum-identity": "fock"}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -108,11 +111,8 @@ def verify(kind, window, max_index, max_level, alpha, c, h, input_path,
     """
     if max_index is None:
         max_index = 10 if kind == "verma-hw" else 4
-    # Each kind imports what it runs: a Fock command loads no Verma, bracket or cocycle module.
-    if kind in ("verma", "verma-hw", "intertwine"):
-        from . import verma
-    elif kind in ("witt-jacobi", "cocycle", "extension", "virasoro-constants", "heisenberg"):
-        from . import cohomology, extension, witt
+    for name in KINDS[kind].split():
+        globals()[name] = importlib.import_module(f".{name}", __package__)
     sweeps = {
         "witt-jacobi": lambda: [witt.jacobi_basis_sweep(max_index)],
         "cocycle": lambda: [cohomology.check_cocycle_identity(

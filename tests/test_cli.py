@@ -339,23 +339,61 @@ FAMILIES = {
     "cocycle": ("verify", "cocycle", "--virasoro", "--window", "2"),
     "reduce": ("reduce", "--input", str(VIRASORO_TABLE), "--window", "4"),
     "nontrivial": ("nontrivial", "--virasoro", "--window", "4"),
+    "extension": ("verify", "extension", "--max-index", "1"),
 }
 # Modules a serial command does not use: each costs start-up time in every process.
 UNUSED_MODULES = {"click", "dataclasses", "inspect", "concurrent.futures", "multiprocessing"}
+
+
+def command_env() -> dict:
+    """os.environ without the VIRA_ defaults, and with the package's sources on PYTHONPATH."""
+    env = {key: value for key, value in os.environ.items()
+           if key not in ("VIRA_FORMAT", "VIRA_JOBS")}
+    env["PYTHONPATH"] = str(SRC)
+    return env
 
 
 @pytest.mark.parametrize("family", FAMILIES)
 def test_serial_command_imports_only_what_it_uses(family):
     # -X importtime writes a line to stderr as each import finishes; those after the line
     # of `site` are the command's own, not the interpreter's start-up.
-    env = {key: value for key, value in os.environ.items()
-           if key not in ("VIRA_FORMAT", "VIRA_JOBS")}
-    env["PYTHONPATH"] = str(SRC)
     run = subprocess.run([sys.executable, "-X", "importtime", "-m", "virasoro.cli",
-                          *FAMILIES[family]], env=env, capture_output=True, text=True)
+                          *FAMILIES[family]], env=command_env(), capture_output=True, text=True)
     assert run.returncode == 0, run.stderr
     names = [line.rsplit("|", 1)[1].strip() for line in run.stderr.splitlines()
              if line.startswith("import time:")]
     loaded = set(names[names.index("site") + 1:])
     assert "virasoro.reports" in loaded
     assert loaded & UNUSED_MODULES == set()
+
+
+# The package modules each family loads beyond virasoro, core and reports: the modules its
+# command runs and what those import.
+FAMILY_MODULES = {
+    "fock": {"fock", "sweeps"},
+    "verma": {"verma", "fock", "sweeps"},
+    "witt-jacobi": {"witt", "sweeps"},
+    "cocycle": {"cohomology"},
+    "reduce": {"cohomology"},
+    "nontrivial": {"cohomology"},
+    "extension": {"extension", "cohomology", "witt", "sweeps"},
+}
+# Runs `vira ARGS` as `python -m virasoro.cli` would and, as the process exits, writes the
+# loaded `virasoro` modules to stderr.  -X importtime is no substitute: it does not log a
+# module loaded through importlib.import_module.
+LOADED_MODULES = """
+import atexit, json, runpy, sys
+atexit.register(lambda: print(json.dumps(
+    [name for name in sys.modules if name.partition(".")[0] == "virasoro"]), file=sys.stderr))
+runpy.run_module("virasoro.cli", run_name="__main__")
+"""
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_command_loads_exactly_its_library_modules(family):
+    run = subprocess.run([sys.executable, "-c", LOADED_MODULES, *FAMILIES[family]],
+                         env=command_env(), capture_output=True, text=True)
+    assert run.returncode == 0, run.stderr
+    loaded = set(json.loads(run.stderr.splitlines()[-1]))
+    assert loaded == {"virasoro", "virasoro.core", "virasoro.reports"} | {
+        f"virasoro.{name}" for name in FAMILY_MODULES[family]}

@@ -10,6 +10,7 @@ precondition failure during reduction).
 from __future__ import annotations
 
 import argparse
+import gc
 import importlib
 import json
 import os
@@ -19,7 +20,7 @@ import sys
 from fractions import Fraction
 
 from .core import ScalarFormatError, format_scalar, parse_integer, parse_scalar
-from .reports import INPUT_ERROR, VerificationReport
+from .reports import INPUT_ERROR
 
 # Each verify kind imports exactly the library modules it runs, as globals of this module,
 # and so loads nothing else of the package beyond what those import (verma imports fock).
@@ -65,13 +66,6 @@ def _format(text: str) -> str:
 
 def _echo_json(record: dict):
     print(json.dumps(record, sort_keys=True, separators=(",", ":")))
-
-
-def _emit_report(report: VerificationReport, fmt: str):
-    if fmt == "json":
-        _echo_json(report.to_json_dict())
-    else:
-        print(report.to_text())
 
 
 def _input_error(fmt: str, check_name: str, message: str):
@@ -135,7 +129,10 @@ def verify(kind, window, max_index, max_level, alpha, c, h, input_path,
     }
     reports = sweeps[kind]()
     for report in reports:
-        _emit_report(report, fmt)
+        if fmt == "json":
+            _echo_json(report.to_json_dict())
+        else:
+            print(report.to_text())
     return int(any(not report.passed() for report in reports))
 
 
@@ -238,5 +235,13 @@ def main(args=None, prog_name=None):
     sys.exit(status)
 
 
+def entry():
+    """The `vira` command: main(), then gc.freeze(), so that no collection pass runs at exit."""
+    try:
+        main()
+    finally:
+        gc.freeze()
+
+
 if __name__ == "__main__":
-    main()
+    entry()

@@ -237,6 +237,29 @@ def bilinear_extend(pair_map: Callable, left: FreeVector, right: FreeVector, zer
     return type(zero)._reduce(table, den * left._den * right._den, zero.module)
 
 
+class Column(dict):
+    """index -> image, built by build(index) on its first read; `__getitem__` is a chain-term f."""
+
+    def __init__(self, build: Callable):
+        self.build = build
+
+    def __missing__(self, index):
+        image = self[index] = self.build(index)
+        return image
+
+
+_COLUMNS = Column(lambda key: Column(lambda start: key[0](key[1], start, *key[2])))
+
+
+def column(build: Callable, index, *parameters, reads: tuple = ()) -> Callable:
+    """start -> build(index, start, *parameters), read from a process-wide Column.
+
+    Its key (build, index, parameters, reads) holds reads, the builders that build calls,
+    so a replaced builder never shares a table with the one it replaces.
+    """
+    return _COLUMNS[build, index, parameters, reads].__getitem__
+
+
 def chain_tables(starts: Iterable, terms: Iterable[tuple]) -> tuple[list[dict], int]:
     """Per start s, the table of sum of coeff * f_k(...f_1(e_s)) over (coeff, (f_1, ..., f_k)).
 

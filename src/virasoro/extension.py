@@ -155,7 +155,7 @@ def check_extension_predicate(base: BaseAlgebra, omega: CocycleOracle,
       (iii) sections: proj(std_section(x)) = x and proj(emb(1)) = 0.
     Each basis-pair bracket is computed once.  The Jacobi instances of a
     record (u, v) are decided for every w by one `sweeps.decide_record` pass
-    over those brackets (see `witt.jacobi_sides`).
+    over those brackets (see `witt.jacobi_identity`).
     """
     parameters = {"max_index": str(max_index), "base": base.name,
                   "cocycle": omega.description}
@@ -165,6 +165,7 @@ def check_extension_predicate(base: BaseAlgebra, omega: CocycleOracle,
     pair = lru_cache(maxsize=None)(lambda i, j: ext_bracket(
         base, omega, ExtElement.basis(i), ExtElement.basis(j)))
     name = {i: text for text, i in labeled}
+    jacobi = witt.jacobi_identity(pair)
 
     def jacobi_failure(indices, k, sides):
         return counterexample({"u": name[indices["m"]], "v": name[indices["n"]], "w": name[k]},
@@ -191,8 +192,7 @@ def check_extension_predicate(base: BaseAlgebra, omega: CocycleOracle,
                            proj(ext_bracket(base, omega, u + central, v - central)),
                            witt.format_vector, leg="bracket")
         for i, j in product(name, repeat=2):
-            yield from decide_record(partial(witt.jacobi_sides, pair), list(name), jacobi_failure,
-                                     {"m": i, "n": j})
+            yield from decide_record(jacobi, list(name), jacobi_failure, {"m": i, "n": j})
 
         # (iii) sections
         for n in range(-max_index, max_index + 1):

@@ -14,7 +14,7 @@ from fractions import Fraction
 from functools import lru_cache, partial
 
 from .core import (ZERO, FreeVector, ModuleVector, Partition, _accumulate, apply, as_pair,
-                   as_scalar, format_scalar, partitions_of_level, partitions_up_to)
+                   as_scalar, column, format_scalar, partitions_of_level, partitions_up_to)
 from .reports import VerificationReport, first_counterexample, mismatch
 from .sweeps import index_grid, module_counterexample, run_sweep
 
@@ -74,8 +74,8 @@ def _j_basis(k: int, partition: Partition, alpha: tuple[int, int]) -> FreeVector
 
 
 def j_column(k: int, alpha: tuple[int, int]):
-    """partition -> J(k) on its basis vector, read from the cache when called."""
-    return lambda partition: _j_basis(k, partition, alpha)
+    """partition -> J(k) on its basis vector, from the table of (_j_basis, k, alpha)."""
+    return column(_j_basis, k, alpha)
 
 
 def _pair_chain(k: int, l: int, alpha: tuple[int, int]) -> tuple:
@@ -115,8 +115,8 @@ def _sugawara_basis(n: int, partition: Partition, alpha: tuple[int, int]) -> Fre
 
 
 def sugawara_column(n: int, alpha: tuple[int, int]):
-    """partition -> L(n) on its basis vector, read from the cache when called."""
-    return lambda partition: _sugawara_basis(n, partition, alpha)
+    """partition -> L(n) on its basis vector, from its table, whose key holds _j_basis too."""
+    return column(_sugawara_basis, n, alpha, reads=(_j_basis,))
 
 
 def sugawara_l(n: int, v: FockVector) -> FockVector:

@@ -16,7 +16,7 @@ from fractions import Fraction
 from functools import lru_cache, partial
 
 from . import fock
-from .core import ZERO, FreeVector, ModuleVector, apply, as_pair, as_scalar, format_scalar
+from .core import ZERO, FreeVector, ModuleVector, apply, as_pair, as_scalar, column, format_scalar
 from .fock import Partition, as_partition, partitions_up_to
 from .reports import VerificationReport, first_counterexample, mismatch
 from .sweeps import index_grid, module_counterexample, run_sweep
@@ -73,8 +73,8 @@ def _act_basis(a: int, partition: Partition, c: tuple[int, int],
 
 
 def act_column(a: int, c: tuple[int, int], h: tuple[int, int]):
-    """partition -> L(a) on its basis monomial, read from the cache when called."""
-    return lambda partition: _act_basis(a, partition, c, h)
+    """partition -> L(a) on its basis monomial, from the table of (_act_basis, a, c, h)."""
+    return column(_act_basis, a, c, h)
 
 
 def l_action(a: int, v: VermaVector) -> VermaVector:

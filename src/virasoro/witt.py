@@ -5,7 +5,7 @@ from __future__ import annotations
 from functools import lru_cache, partial
 from typing import Callable
 
-from .core import FreeVector, apply, bilinear_extend
+from .core import Column, FreeVector, apply, bilinear_extend
 from .reports import VerificationReport, counterexample
 from .sweeps import index_grid, run_sweep
 
@@ -33,19 +33,20 @@ def format_vector(v: FreeVector) -> str:
     return " + ".join(f"{coeff}·l({n})" for n, coeff in v.items())
 
 
-def jacobi_sides(pair: Callable, m, n) -> tuple[list, list]:
-    """[e_m, [e_n, x]] + [e_n, [x, e_m]] + [x, [e_m, e_n]] against 0, as chain terms in x.
+def jacobi_identity(pair: Callable) -> Callable:
+    """(m, n) -> [e_m, [e_n, x]] + [e_n, [x, e_m]] + [x, [e_m, e_n]] against 0, in chain terms.
 
-    With ad_a = [e_a, .] and R_a = [., e_a] read off pair, the bracket of two
-    basis indices, that is ad_m ad_n x + ad_n R_m x + sum_p c_p R_p x, where
-    [e_m, e_n] = sum_p c_p e_p.  No antisymmetry is assumed.
+    pair is the bracket of two basis indices.  With ad_a = [e_a, .] and R_a = [., e_a] read off
+    it through tables the identity owns, the sides are ad_m ad_n x + ad_n R_m x + sum_p c_p R_p x,
+    where [e_m, e_n] = sum_p c_p e_p.  No antisymmetry is assumed.
     """
-    def right(a):
-        return lambda x: pair(x, a)
+    ad = Column(lambda a: Column(partial(pair, a)).__getitem__)
+    right = Column(lambda a: Column(lambda x: pair(x, a)).__getitem__)
 
-    ad_n = partial(pair, n)
-    return [(1, (ad_n, partial(pair, m))), (1, (right(m), ad_n))] + [
-        (c, (right(p),)) for p, c in pair(m, n).items()], []
+    def sides(m, n):
+        return [(1, (ad[n], ad[m])), (1, (right[m], ad[n]))] + [
+            (c, (right[p],)) for p, c in ad[m](n).items()], []
+    return sides
 
 
 def jacobi_basis_sweep(max_index: int) -> VerificationReport:
@@ -59,7 +60,7 @@ def jacobi_basis_sweep(max_index: int) -> VerificationReport:
         return counterexample(indices | {"k": k}, expected="0",
                               actual=format_vector(apply(sides[0], FreeVector.basis(k))))
 
-    pair = lru_cache(maxsize=None)(bracket_pair)
-    return run_sweep("witt-jacobi", {"max_index": str(max_index)}, partial(jacobi_sides, pair),
+    identity = jacobi_identity(lru_cache(maxsize=None)(bracket_pair))
+    return run_sweep("witt-jacobi", {"max_index": str(max_index)}, identity,
                      index_grid(m=max_index, n=max_index), range(-max_index, max_index + 1),
                      render, 1)

@@ -1,3 +1,4 @@
+import gc
 import json
 import os
 import shlex
@@ -397,3 +398,34 @@ def test_command_loads_exactly_its_library_modules(family):
     loaded = set(json.loads(run.stderr.splitlines()[-1]))
     assert loaded == {"virasoro", "virasoro.core", "virasoro.reports"} | {
         f"virasoro.{name}" for name in FAMILY_MODULES[family]}
+
+
+# One command per exit status: pass, a failing check, and an invalid flag.
+STATUS_COMMANDS = {
+    0: ("verify", "sugawara", "--max-index", "1", "--max-level", "1"),
+    1: ("verify", "cocycle", "--input", str(SIGN_TABLE), "--window", "3"),
+    2: ("verify", "sugawara", "--alpha", "1/0"),
+}
+
+
+@pytest.mark.parametrize("status", STATUS_COMMANDS)
+def test_module_run_exits_with_the_status_and_stdout_of_main(capsys, status):
+    args = STATUS_COMMANDS[status]
+    with pytest.raises(SystemExit) as exit:
+        cli.main(list(args), prog_name="vira")
+    assert exit.value.code == status
+    run = subprocess.run([sys.executable, "-m", "virasoro.cli", *args], env=command_env(),
+                         capture_output=True, text=True, encoding="utf-8")
+    assert (run.returncode, run.stdout) == (status, capsys.readouterr().out)
+
+
+def test_entry_runs_main_and_freezes_the_heap(monkeypatch, capsys):
+    monkeypatch.setattr(sys, "argv", ["vira", "verify", "sum-identity", "--max-index", "3"])
+    try:
+        with pytest.raises(SystemExit) as exit:
+            cli.entry()
+        assert exit.value.code == 0
+        assert gc.get_freeze_count() > 0
+    finally:
+        gc.unfreeze()
+    assert capsys.readouterr().out.startswith("PASS weighted-sum-identity")

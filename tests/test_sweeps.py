@@ -8,6 +8,7 @@ count.
 
 import concurrent.futures
 import os
+from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
 
@@ -151,15 +152,64 @@ FAILURES = [
 ]
 
 
+FAILURE_IDS = ["heisenberg", "primary-field", "normal-pair-one", "normal-pair-sweep", "sugawara",
+               "verma-relations", "intertwining-verma", "intertwining-fock", "sugawara-l-column",
+               "primary-field-l-column", "intertwining-l-column"]
+
+
 @pytest.mark.parametrize("jobs", [1, 2])
-@pytest.mark.parametrize("defect,run,expected", FAILURES,
-                         ids=["heisenberg", "primary-field", "normal-pair-one",
-                              "normal-pair-sweep", "sugawara", "verma-relations",
-                              "intertwining-verma", "intertwining-fock", "sugawara-l-column",
-                              "primary-field-l-column", "intertwining-l-column"])
+@pytest.mark.parametrize("defect,run,expected", FAILURES, ids=FAILURE_IDS)
 def test_injected_defect_fails_with_exact_report(request, defect, run, expected, jobs):
     request.getfixturevalue(defect)
     assert run(jobs).to_text() == expected
+
+
+# The J case of "sugawara" patches the J builder only; its sweep reads L columns alone.
+@pytest.mark.parametrize("jobs", [1, 2])
+@pytest.mark.parametrize("case", ["heisenberg", "sugawara", "sugawara-l-column",
+                                  "verma-relations"])
+def test_column_tables_follow_a_replaced_builder(request, monkeypatch, case, jobs):
+    """A replaced builder gets tables of its own, and undoing it brings back the filled ones.
+
+    The first sweep passes and fills the tables; under the defect fixture the pinned report
+    must show, and after the undo the sweep passes again.
+    """
+    defect, run, expected = dict(zip(FAILURE_IDS, FAILURES))[case]
+    _clear_caches()
+    assert run(1).status == "pass"
+    request.getfixturevalue(defect)
+    assert run(jobs).to_text() == expected
+    monkeypatch.undo()
+    _clear_caches()
+    assert run(jobs).status == "pass"
+
+
+def test_tables_call_each_builder_once_per_entry(monkeypatch):
+    """Across full sweeps, each (index, partition, parameters) is built once from the tables.
+
+    A call that a builder makes while building (L reads J, L(a) recurses) is not counted.
+    """
+    calls, depth = Counter(), [0]
+
+    def counted(name, builder):
+        def build(*args):
+            if not depth[0]:
+                calls[name, args] += 1
+            depth[0] += 1
+            try:
+                return builder(*args)
+            finally:
+                depth[0] -= 1
+        return build
+
+    for module, name in ((fock, "_j_basis"), (fock, "_sugawara_basis"), (verma, "_act_basis")):
+        monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
+    for report in (fock.check_heisenberg_relations(2, 3, A), fock.check_primary_field(2, 3, A),
+                   fock.sweep_normal_pair(1, 1, 3, A), fock.check_sugawara_commutator(2, 3, A),
+                   verma.check_verma_relations(2, 3, C, H), verma.check_intertwining(A, 2, 3)):
+        assert report.status == "pass"
+    assert {name for name, _ in calls} == {"_j_basis", "_sugawara_basis", "_act_basis"}
+    assert set(calls.values()) == {1}
 
 
 def test_worker_count_is_clamped(monkeypatch):

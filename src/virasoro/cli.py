@@ -144,10 +144,7 @@ def reduce(input_path, window, fmt) -> int:
     identity on the window is rejected with exit status 2.
     """
     from . import cohomology
-    try:
-        oracle = cohomology.load_cocycle_table(input_path)
-    except (cohomology.TableFormatError, OSError) as exc:
-        _input_error(fmt, "cocycle-reduction", str(exc))
+    oracle = _load_oracle(fmt, "cocycle-reduction", False, input_path)
     try:
         beta, r, residual = cohomology.reduce_cocycle(oracle, window)
     except (cohomology.CocycleIdentityError, ValueError) as exc:

@@ -251,13 +251,12 @@ class Column(dict):
 _COLUMNS = Column(lambda key: Column(lambda start: key[0](key[1], start, *key[2])))
 
 
-def column(build: Callable, index, *parameters, reads: tuple = ()) -> Callable:
-    """start -> build(index, start, *parameters), read from a process-wide Column.
+def column(build: Callable, index, *parameters) -> Callable:
+    """start -> build(index, start, *parameters), from the table keyed (build, index, parameters).
 
-    Its key (build, index, parameters, reads) holds reads, the builders that build calls,
-    so a replaced builder never shares a table with the one it replaces.
+    Tables live for the process, like the builders' caches: swapping a builder must clear both.
     """
-    return _COLUMNS[build, index, parameters, reads].__getitem__
+    return _COLUMNS[build, index, parameters].__getitem__
 
 
 def chain_tables(starts: Iterable, terms: Iterable[tuple]) -> tuple[list[dict], int]:

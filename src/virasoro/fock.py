@@ -115,8 +115,8 @@ def _sugawara_basis(n: int, partition: Partition, alpha: tuple[int, int]) -> Fre
 
 
 def sugawara_column(n: int, alpha: tuple[int, int]):
-    """partition -> L(n) on its basis vector, from its table, whose key holds _j_basis too."""
-    return column(_sugawara_basis, n, alpha, reads=(_j_basis,))
+    """partition -> L(n) on its basis vector, from the table of (_sugawara_basis, n, alpha)."""
+    return column(_sugawara_basis, n, alpha)
 
 
 def sugawara_l(n: int, v: FockVector) -> FockVector:

@@ -104,8 +104,7 @@ def check_verma_relations(max_index: int, max_level: int, c, h,
 def verma_hw_check(c, h, max_index: int = 10) -> VerificationReport:
     """L(0) v = h v, C v = c v and L(n) v = 0 for 1 <= n <= max_index."""
     c, h = as_scalar(c), as_scalar(h)
-    parameters = {"c": format_scalar(c), "h": format_scalar(h),
-                  "max_index": str(max_index)}
+    parameters = {"c": format_scalar(c), "h": format_scalar(h), "max_index": str(max_index)}
     v = hw_vector(c, h)
     cases = [("L(0)", l_action(0, v), h * v), ("C", c_action(v), c * v)]
     cases += [(f"L({n})", l_action(n, v), ZERO * v) for n in range(1, max_index + 1)]
@@ -127,22 +126,22 @@ def universal_map(alpha, v: VermaVector) -> fock.FockVector:
             "the canonical map into the charged Fock module requires central "
             f"charge 1 and highest weight alpha^2/2 = {alpha * alpha / 2}; "
             f"got (c, h) = ({format_scalar(v.c)}, {format_scalar(v.h)})")
-
-    return apply([(1, (partial(_image, {}, as_pair(alpha)),))], v, fock.vacuum(alpha))
-
-
-def _image(images: dict, alpha: tuple[int, int], partition: Partition) -> FreeVector:
-    """The Fock image of one basis monomial, memoized in images."""
-    if partition not in images:
-        images[partition] = FreeVector.basis(()) if not partition else apply(
-            [(1, (fock.sugawara_column(-partition[0], alpha),))],
-            _image(images, alpha, partition[1:]))
-    return images[partition]
+    return apply([(1, (image_column(as_pair(alpha)),))], v, fock.vacuum(alpha))
 
 
-def _intertwining(alpha, images, a):
-    h = as_pair(Fraction(*alpha) ** 2 / 2)
-    image = partial(_image, images, alpha)
+def _image(alpha: tuple[int, int], partition: Partition) -> FreeVector:
+    """The Fock image of one basis monomial: L(-p) on the image of the rest."""
+    return FreeVector.basis(()) if not partition else apply(
+        [(1, (fock.sugawara_column(-partition[0], alpha),))], image_column(alpha)(partition[1:]))
+
+
+def image_column(alpha: tuple[int, int]):
+    """partition -> its image under the canonical map, from the table of (_image, alpha)."""
+    return column(_image, alpha)
+
+
+def _intertwining(alpha, a):
+    image, h = image_column(alpha), as_pair(Fraction(*alpha) ** 2 / 2)
     return [(1, (act_column(a, (1, 1), h), image))], [(1, (image, fock.sugawara_column(a, alpha)))]
 
 
@@ -153,7 +152,6 @@ def check_intertwining(alpha, max_index: int, max_level: int,
     parameters = {"alpha": format_scalar(alpha), "max_index": str(max_index),
                   "max_level": str(max_level)}
     render = partial(module_counterexample, hw_vector(1, alpha * alpha / 2), fock.vacuum(alpha))
-    # The images are memoized for one sweep: they are built from the J columns in use.
     return run_sweep("fock-verma-intertwining", parameters,
-                     partial(_intertwining, as_pair(alpha), {}), index_grid(a=max_index),
+                     partial(_intertwining, as_pair(alpha)), index_grid(a=max_index),
                      partitions_up_to(max_level), render, jobs)

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 sys.path.insert(0, str(Path(__file__).parent))
 
-from virasoro import cli
+from virasoro import cli, core, fock, verma
 from virasoro.core import FreeVector
 
 SRC = Path(__file__).parent.parent / "src"
@@ -42,6 +42,17 @@ def invoke(*args, env=None) -> CliResult:
         except SystemExit as exc:
             exit_code = 0 if exc.code is None else exc.code
     return CliResult(exit_code, output.getvalue())
+
+
+def reset_columns():
+    """Empty the builders' caches and the column tables, before and after a builder is swapped.
+
+    Both live for the process; a table filled through a swapped builder, or through a builder
+    that read one, would otherwise serve its images to the restored code.
+    """
+    for cached in (fock._j_basis, fock._sugawara_basis, verma._act_basis):
+        cached.cache_clear()
+    core._COLUMNS.clear()
 
 
 @st.composite

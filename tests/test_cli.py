@@ -239,6 +239,19 @@ class TestReduce:
     def test_input_required(self):
         assert invoke("reduce").exit_code == 2
 
+    def test_missing_file_is_input_error(self):
+        result = invoke("reduce", "--input", "/nonexistent.tsv")
+        assert result.exit_code == 2
+        [line] = result.output.splitlines()
+        assert line.startswith("INPUT_ERROR cocycle-reduction message=")
+        assert "/nonexistent.tsv" in parse_text_line(line)["message"]
+        result = invoke("reduce", "--input", "/nonexistent.tsv", "--format", "json")
+        assert result.exit_code == 2
+        [record] = json_lines(result)
+        assert record["check_name"] == "cocycle-reduction"
+        assert record["status"] == "input_error"
+        assert "/nonexistent.tsv" in record["message"]
+
     def test_window_too_small(self):
         result = invoke("reduce", "--input", str(VIRASORO_TABLE), "--window", "1")
         assert result.exit_code == 2

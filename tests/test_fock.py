@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from conftest import partitions, scalars
+from conftest import partitions, reset_columns, scalars
 from virasoro import fock
 from virasoro.core import FreeVector
 
@@ -196,8 +196,8 @@ class TestSugawara:
             return original(k, partition, alpha) + extra
 
         alpha = Fraction(2, 3)
+        reset_columns()
         monkeypatch.setattr(fock, "_j_basis", skewed)
-        fock._sugawara_basis.cache_clear()
         try:
             for n in range(-2, 3):
                 for partition in fock.partitions_up_to(3):
@@ -208,7 +208,8 @@ class TestSugawara:
                         expected = expected + HALF * fock.normal_pair(n - k, k, v)
                     assert fock.sugawara_l(n, v) == expected
         finally:
-            fock._sugawara_basis.cache_clear()
+            monkeypatch.undo()
+            reset_columns()
 
     # Denominators 1 to 7, two negative charges and the zero charge.
     @pytest.mark.parametrize("alpha", [Fraction(0), Fraction(3), Fraction(-5, 2), Fraction(2, 3),

@@ -13,13 +13,14 @@ in Fraction arithmetic.
 """
 
 from fractions import Fraction
-from functools import lru_cache, partial
+from functools import lru_cache
 
 import pytest
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 import oracles
+from conftest import reset_columns
 from virasoro import fock, verma
 from virasoro.core import FreeVector, apply, as_pair, chain_sum, chain_tables
 from virasoro.reports import counterexample
@@ -154,8 +155,7 @@ def test_apply_is_the_sum_of_chain_sums(alpha, c, h, coeffs, terms, words):
 
     # The intertwining side: Verma input, Fock target, through the canonical map's images.
     w = verma.VermaVector(1, alpha * alpha / 2, coeffs)
-    images = partial(verma._image, {}, as_pair(alpha))
-    sides = [(coeff, (images,) + chain) for coeff, chain in fock_terms]
+    sides = [(coeff, (verma.image_column(as_pair(alpha)),) + chain) for coeff, chain in fock_terms]
     image = apply(sides, w, fock.vacuum(alpha))
     assert type(image) is fock.FockVector and image.module == (alpha,)
     assert dict(image.items()) == _chain_sum_reference(w, sides)
@@ -260,11 +260,6 @@ def _sweeps(alpha, c, h):
 COLUMNS = {"j": (fock, "_j_basis"), "l": (fock, "_sugawara_basis"), "act": (verma, "_act_basis")}
 
 
-def _clear_caches():
-    for cached in (fock._j_basis, fock._sugawara_basis, verma._act_basis):
-        cached.cache_clear()
-
-
 @settings(max_examples=40, deadline=None)
 @given(data=st.data(), alpha=exact, c=exact, h=exact, which=st.integers(0, 5))
 def test_corrupted_column_gives_the_same_report_on_both_paths(data, alpha, c, h, which):
@@ -279,7 +274,7 @@ def test_corrupted_column_gives_the_same_report_on_both_paths(data, alpha, c, h,
         out = original(n, partition, *parameters)
         return out + FreeVector.basis(extra, scale) if (n, partition) == (index, at) else out
 
-    _clear_caches()
+    reset_columns()
     try:
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(module, name, corrupted)
@@ -287,7 +282,7 @@ def test_corrupted_column_gives_the_same_report_on_both_paths(data, alpha, c, h,
             event(f"report {report.status}")
             assert (report.status, report.checked_count, report.counterexample) == reference()
     finally:
-        _clear_caches()
+        reset_columns()
 
 
 A = Fraction(1, 2)
@@ -306,10 +301,10 @@ def corrupt_j(monkeypatch):
 
         monkeypatch.setattr(fock, "_j_basis", corrupted)
 
-    _clear_caches()
+    reset_columns()
     yield corrupt
     monkeypatch.undo()
-    _clear_caches()
+    reset_columns()
 
 
 def _failing_partitions(indices):

@@ -14,16 +14,12 @@ from functools import lru_cache
 
 import pytest
 
+from conftest import reset_columns
 from virasoro import fock, sweeps, verma
 from virasoro.core import FreeVector
 
 A = Fraction(1, 2)
 C, H = Fraction(-22, 5), Fraction(-1, 5)
-
-
-def _clear_caches():
-    for cached in (fock._j_basis, fock._sugawara_basis, verma._act_basis):
-        cached.cache_clear()
 
 
 @pytest.fixture
@@ -38,11 +34,11 @@ def j_defect(monkeypatch):
             return out + FreeVector.basis(partition)
         return out
 
-    _clear_caches()
+    reset_columns()
     monkeypatch.setattr(fock, "_j_basis", broken)
     yield
     monkeypatch.undo()
-    _clear_caches()
+    reset_columns()
 
 
 @pytest.fixture
@@ -57,11 +53,11 @@ def l_defect(monkeypatch):
             return out + FreeVector.basis((1, 1))
         return out
 
-    _clear_caches()
+    reset_columns()
     monkeypatch.setattr(fock, "_sugawara_basis", broken)
     yield
     monkeypatch.undo()
-    _clear_caches()
+    reset_columns()
 
 
 @pytest.fixture
@@ -76,11 +72,11 @@ def act_defect(monkeypatch):
             return out + FreeVector.basis((2,))
         return out
 
-    _clear_caches()
+    reset_columns()
     monkeypatch.setattr(verma, "_act_basis", broken)
     yield
     monkeypatch.undo()
-    _clear_caches()
+    reset_columns()
 
 
 FAILURES = [
@@ -164,30 +160,32 @@ def test_injected_defect_fails_with_exact_report(request, defect, run, expected,
     assert run(jobs).to_text() == expected
 
 
-# The J case of "sugawara" patches the J builder only; its sweep reads L columns alone.
+# The J case of "sugawara" patches the J builder only; its sweep reads L columns alone.  The
+# intertwining cases reach the canonical map's image table, built through the L columns.
 @pytest.mark.parametrize("jobs", [1, 2])
 @pytest.mark.parametrize("case", ["heisenberg", "sugawara", "sugawara-l-column",
-                                  "verma-relations"])
+                                  "verma-relations", "intertwining-fock", "intertwining-l-column"])
 def test_column_tables_follow_a_replaced_builder(request, monkeypatch, case, jobs):
-    """A replaced builder gets tables of its own, and undoing it brings back the filled ones.
+    """Resetting the tables and caches around a builder swap keeps every sweep coherent.
 
-    The first sweep passes and fills the tables; under the defect fixture the pinned report
-    must show, and after the undo the sweep passes again.
+    The first sweep passes and fills the tables; the defect fixture resets them and swaps a
+    builder, so the pinned report must show; after the undo and a reset the sweep passes again.
     """
     defect, run, expected = dict(zip(FAILURE_IDS, FAILURES))[case]
-    _clear_caches()
+    reset_columns()
     assert run(1).status == "pass"
     request.getfixturevalue(defect)
     assert run(jobs).to_text() == expected
     monkeypatch.undo()
-    _clear_caches()
+    reset_columns()
     assert run(jobs).status == "pass"
 
 
 def test_tables_call_each_builder_once_per_entry(monkeypatch):
-    """Across full sweeps, each (index, partition, parameters) is built once from the tables.
+    """Across full sweeps and a canonical map call, each table entry is built once.
 
-    A call that a builder makes while building (L reads J, L(a) recurses) is not counted.
+    A call that a builder makes while building (L reads J, L(a) recurses, an image reads the
+    image of its tail) is not counted.
     """
     calls, depth = Counter(), [0]
 
@@ -202,13 +200,17 @@ def test_tables_call_each_builder_once_per_entry(monkeypatch):
                 depth[0] -= 1
         return build
 
-    for module, name in ((fock, "_j_basis"), (fock, "_sugawara_basis"), (verma, "_act_basis")):
+    for module, name in ((fock, "_j_basis"), (fock, "_sugawara_basis"), (verma, "_act_basis"),
+                         (verma, "_image")):
         monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
     for report in (fock.check_heisenberg_relations(2, 3, A), fock.check_primary_field(2, 3, A),
                    fock.sweep_normal_pair(1, 1, 3, A), fock.check_sugawara_commutator(2, 3, A),
                    verma.check_verma_relations(2, 3, C, H), verma.check_intertwining(A, 2, 3)):
         assert report.status == "pass"
-    assert {name for name, _ in calls} == {"_j_basis", "_sugawara_basis", "_act_basis"}
+    # Every partition of level <= 3 was a start of the intertwining sweep, so its image is built.
+    every = verma.VermaVector(1, A * A / 2, dict.fromkeys(fock.partitions_up_to(3), 1))
+    verma.universal_map(A, every)
+    assert {name for name, _ in calls} == {"_j_basis", "_sugawara_basis", "_act_basis", "_image"}
     assert set(calls.values()) == {1}
 
 

@@ -78,7 +78,7 @@ def _input_error(fmt: str, check_name: str, message: str):
 
 def _load_oracle(fmt: str, check_name: str, use_virasoro: bool, input_path):
     from . import cohomology
-    if use_virasoro == bool(input_path):
+    if use_virasoro == (input_path is not None):
         raise argparse.ArgumentError(None, "exactly one of --virasoro or --input is required")
     if use_virasoro:
         return cohomology.VIRASORO

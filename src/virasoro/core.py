@@ -156,11 +156,7 @@ class FreeVector:
         coeff = as_scalar(coeff)
         return cls._wrap({index: coeff.numerator} if coeff else {}, coeff.denominator, module)
 
-    @classmethod
-    def linear_combination(cls, pairs: Iterable[tuple], module: tuple = (),
-                           den: int = 1) -> "FreeVector":
-        """Sum of coeff * vector over (coeff, FreeVector) pairs, over den, in the given module."""
-        return cls._sum(pairs, module, den)
+    linear_combination = _sum
 
     def coeff(self, index) -> Fraction:
         return Fraction(self._num.get(index, 0), self._den)

@@ -14,9 +14,9 @@ from fractions import Fraction
 from functools import lru_cache, partial
 
 from .core import (ZERO, FreeVector, ModuleVector, Partition, _accumulate, apply, as_pair,
-                   as_scalar, column, format_scalar, partitions_of_level, partitions_up_to)
+                   as_scalar, column, partitions_of_level, partitions_up_to)
 from .reports import VerificationReport, first_counterexample, mismatch
-from .sweeps import index_grid, module_counterexample, run_sweep
+from .sweeps import index_grid, module_sweep
 
 # partitions_of_level and partitions_up_to enumerate the basis; importable from here.
 
@@ -144,15 +144,6 @@ def check_weighted_sum(max_n: int) -> VerificationReport:
 
 # Sweeps: each identity maps the charge's pair and the indices to its two sides as chain terms.
 
-def _sweep(check_name: str, identity, parameters: dict, tasks: list[dict], max_level: int,
-           alpha, jobs: int) -> VerificationReport:
-    alpha = as_scalar(alpha)
-    parameters |= {"max_level": str(max_level), "alpha": format_scalar(alpha)}
-    unit = vacuum(alpha)
-    return run_sweep(check_name, parameters, partial(identity, as_pair(alpha)), tasks,
-                     partitions_up_to(max_level), partial(module_counterexample, unit, unit), jobs)
-
-
 def _heisenberg(alpha, k, l):
     J = partial(j_column, alpha=alpha)
     return [(1, (J(l), J(k))), (-1, (J(k), J(l)))], [(k if k + l == 0 else 0, ())]
@@ -161,8 +152,8 @@ def _heisenberg(alpha, k, l):
 def check_heisenberg_relations(max_index: int, max_level: int, alpha,
                                jobs: int = 1) -> VerificationReport:
     """[J(k), J(l)] = k delta_{k,-l} id on every basis vector of the window."""
-    return _sweep("heisenberg-relations", _heisenberg, {"max_index": str(max_index)},
-                  index_grid(k=max_index, l=max_index), max_level, alpha, jobs)
+    return module_sweep("heisenberg-relations", {"max_index": str(max_index)}, _heisenberg,
+                        index_grid(k=max_index, l=max_index), max_level, vacuum(alpha), jobs)
 
 
 def _primary_field(alpha, n, k):
@@ -173,8 +164,8 @@ def _primary_field(alpha, n, k):
 def check_primary_field(max_index: int, max_level: int, alpha,
                         jobs: int = 1) -> VerificationReport:
     """[L(n), J(k)] = -k J(n+k) on every basis vector of the window."""
-    return _sweep("primary-field", _primary_field, {"max_index": str(max_index)},
-                  index_grid(n=max_index, k=max_index), max_level, alpha, jobs)
+    return module_sweep("primary-field", {"max_index": str(max_index)}, _primary_field,
+                        index_grid(n=max_index, k=max_index), max_level, vacuum(alpha), jobs)
 
 
 def _normal_pair_commutator(alpha, n, m, k):
@@ -192,17 +183,17 @@ def check_normal_pair_commutator(n: int, m: int, k: int, max_level: int,
     The closed form is -k :J(m-k)J(n+k): - (m-k) :J(n+m-k)J(k): plus the
     central term k(n+k) delta_{n+m,0} (1_{0<=k<-n} - 1_{-n<=k<0}).
     """
-    return _sweep("normal-pair-commutator", _normal_pair_commutator,
-                  {"n": str(n), "m": str(m), "k": str(k)}, [{"n": n, "m": m, "k": k}],
-                  max_level, alpha, 1)
+    return module_sweep("normal-pair-commutator", {"n": str(n), "m": str(m), "k": str(k)},
+                        _normal_pair_commutator, [{"n": n, "m": m, "k": k}], max_level,
+                        vacuum(alpha), 1)
 
 
 def sweep_normal_pair(max_index: int, max_k: int, max_level: int, alpha,
                       jobs: int = 1) -> VerificationReport:
     """check_normal_pair_commutator over |n|, |m| <= max_index, |k| <= max_k."""
-    return _sweep("normal-pair-commutator", _normal_pair_commutator,
-                  {"max_index": str(max_index), "max_k": str(max_k)},
-                  index_grid(n=max_index, m=max_index, k=max_k), max_level, alpha, jobs)
+    return module_sweep("normal-pair-commutator", dict(max_index=str(max_index), max_k=str(max_k)),
+                        _normal_pair_commutator, index_grid(n=max_index, m=max_index, k=max_k),
+                        max_level, vacuum(alpha), jobs)
 
 
 def virasoro_commutator(L, central_charge, n: int, m: int):
@@ -221,5 +212,5 @@ def check_sugawara_commutator(max_index: int, max_level: int, alpha,
 
     The central charge is 1, independent of the charge alpha.
     """
-    return _sweep("sugawara-commutator", _sugawara_commutator, {"max_index": str(max_index)},
-                  index_grid(n=max_index, m=max_index), max_level, alpha, jobs)
+    return module_sweep("sugawara-commutator", {"max_index": str(max_index)}, _sugawara_commutator,
+                        index_grid(n=max_index, m=max_index), max_level, vacuum(alpha), jobs)

@@ -15,7 +15,8 @@ counterexample.  A serial run decides no record after the failing one.  A
 parallel run cancels only the chunks still waiting in its pool: the workers'
 chunks and up to workers + 1 queued for them run on (60 of 81 records of
 heisenberg 4/4 failing at record 4, on 2 workers), and the count ignores
-their outcomes.  So reports are identical for any job count.
+their outcomes.  So reports are identical for any job count.  Every module
+sweep is wired by `module_sweep`: starts, renderer, report fields and keys.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from contextlib import closing
 from functools import partial
 from itertools import chain, product
 
-from .core import ModuleVector, apply, chain_tables
+from .core import ModuleVector, apply, as_pair, chain_tables, format_scalar, partitions_up_to
 from .reports import VerificationReport, counterexample, first_counterexample
 
 
@@ -90,3 +91,19 @@ def run_sweep(check_name: str, parameters: dict, identity, tasks: list[dict], st
     with ProcessPoolExecutor(max_workers=workers) as pool, closing(pool.map(
             decide, tasks, chunksize=max(1, len(tasks) // (workers * 4)))) as records:
         return first_counterexample(check_name, parameters, chain.from_iterable(records))
+
+
+def module_sweep(check_name: str, parameters: dict, identity, tasks: list[dict], max_level: int,
+                 unit: ModuleVector, jobs: int,
+                 target: ModuleVector | None = None) -> VerificationReport:
+    """run_sweep on the partitions up to max_level of unit's module, mapped into target's.
+
+    target defaults to unit.  The report gains max_level and target's module parameters, and
+    identity takes their (numerator, denominator) pairs first, as column keys.
+    """
+    target = unit if target is None else target
+    fields = dict(zip(target.parameters, map(format_scalar, target.module)))
+    return run_sweep(check_name, parameters | fields | {"max_level": str(max_level)},
+                     partial(identity, *map(as_pair, target.module)), tasks,
+                     partitions_up_to(max_level), partial(module_counterexample, unit, target),
+                     jobs)

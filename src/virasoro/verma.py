@@ -17,9 +17,9 @@ from functools import lru_cache, partial
 
 from . import fock
 from .core import ZERO, FreeVector, ModuleVector, apply, as_pair, as_scalar, column, format_scalar
-from .fock import Partition, as_partition, partitions_up_to
+from .fock import Partition, as_partition
 from .reports import VerificationReport, first_counterexample, mismatch
-from .sweeps import index_grid, module_counterexample, run_sweep
+from .sweeps import index_grid, module_sweep
 
 
 class VermaVector(ModuleVector):
@@ -92,21 +92,15 @@ def _relations(c, h, n, m):
 def check_verma_relations(max_index: int, max_level: int, c, h,
                           jobs: int = 1) -> VerificationReport:
     """[L(n), L(m)] = (n - m) L(n+m) + (n^3 - n)/12 delta_{n,-m} c on the basis."""
-    c, h = as_scalar(c), as_scalar(h)
-    parameters = {"max_index": str(max_index), "max_level": str(max_level),
-                  "c": format_scalar(c), "h": format_scalar(h)}
-    unit = hw_vector(c, h)
-    return run_sweep("verma-relations", parameters, partial(_relations, as_pair(c), as_pair(h)),
-                     index_grid(n=max_index, m=max_index), partitions_up_to(max_level),
-                     partial(module_counterexample, unit, unit), jobs)
+    return module_sweep("verma-relations", {"max_index": str(max_index)}, _relations,
+                        index_grid(n=max_index, m=max_index), max_level, hw_vector(c, h), jobs)
 
 
 def verma_hw_check(c, h, max_index: int = 10) -> VerificationReport:
     """L(0) v = h v, C v = c v and L(n) v = 0 for 1 <= n <= max_index."""
-    c, h = as_scalar(c), as_scalar(h)
-    parameters = {"c": format_scalar(c), "h": format_scalar(h), "max_index": str(max_index)}
     v = hw_vector(c, h)
-    cases = [("L(0)", l_action(0, v), h * v), ("C", c_action(v), c * v)]
+    parameters = dict(zip(v.parameters, map(format_scalar, v.module)), max_index=str(max_index))
+    cases = [("L(0)", l_action(0, v), v.h * v), ("C", c_action(v), v.c * v)]
     cases += [(f"L({n})", l_action(n, v), ZERO * v) for n in range(1, max_index + 1)]
     return first_counterexample("verma-highest-weight", parameters,
                                 (mismatch({"operator": label}, expected, actual, input_text=str(v))
@@ -149,9 +143,6 @@ def check_intertwining(alpha, max_index: int, max_level: int,
                        jobs: int = 1) -> VerificationReport:
     """The canonical map commutes with every generator on the window basis."""
     alpha = as_scalar(alpha)
-    parameters = {"alpha": format_scalar(alpha), "max_index": str(max_index),
-                  "max_level": str(max_level)}
-    render = partial(module_counterexample, hw_vector(1, alpha * alpha / 2), fock.vacuum(alpha))
-    return run_sweep("fock-verma-intertwining", parameters,
-                     partial(_intertwining, as_pair(alpha)), index_grid(a=max_index),
-                     partitions_up_to(max_level), render, jobs)
+    return module_sweep("fock-verma-intertwining", {"max_index": str(max_index)}, _intertwining,
+                        index_grid(a=max_index), max_level, hw_vector(1, alpha * alpha / 2), jobs,
+                        fock.vacuum(alpha))

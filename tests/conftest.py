@@ -1,12 +1,14 @@
 import io
+import multiprocessing
 import os
 import sys
-from contextlib import redirect_stderr, redirect_stdout
+from contextlib import contextmanager, redirect_stderr, redirect_stdout
 from fractions import Fraction
 from pathlib import Path
 from typing import NamedTuple
 from unittest import mock
 
+import pytest
 from hypothesis import strategies as st
 
 sys.path.insert(0, str(Path(__file__).parent))
@@ -53,6 +55,25 @@ def reset_columns():
     for cached in (fock._j_basis, fock._sugawara_basis, verma._act_basis):
         cached.cache_clear()
     core._COLUMNS.clear()
+
+
+@contextmanager
+def swapped(module, name: str, builder):
+    """module.name replaced by builder for the block, with the column tables reset around it.
+
+    A pool worker sees the replacement only if it is forked from this process, so the "fork"
+    start method is set for the block and the previous one restored after it.
+    """
+    method = multiprocessing.get_start_method(allow_none=True)
+    reset_columns()
+    multiprocessing.set_start_method("fork", force=True)
+    try:
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(module, name, builder)
+            yield
+    finally:
+        multiprocessing.set_start_method(method, force=True)
+        reset_columns()
 
 
 @st.composite

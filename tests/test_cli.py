@@ -141,6 +141,25 @@ class TestVerifyErrors:
         assert result.exit_code == 2
         assert result.output.startswith("INPUT_ERROR")
 
+    # An empty path is a given --input: with --virasoro it is a second source, alone a bad file.
+    @pytest.mark.parametrize("command", [("verify", "cocycle"), ("nontrivial",)])
+    def test_virasoro_and_an_empty_input_are_two_sources(self, command):
+        result = invoke(*command, "--virasoro", "--input", "", "--window", "3")
+        assert result.exit_code == 2
+        assert "exactly one of --virasoro or --input" in result.output
+
+    @pytest.mark.parametrize("command,check_name", [(("verify", "cocycle"), "cocycle-identity"),
+                                                    (("reduce",), "cocycle-reduction")])
+    def test_empty_input_is_input_error(self, command, check_name):
+        result = invoke(*command, "--input", "")
+        assert result.exit_code == 2
+        [line] = result.output.splitlines()
+        assert line.startswith(f"INPUT_ERROR {check_name} message=")
+        result = invoke(*command, "--input", "", "--format", "json")
+        assert result.exit_code == 2
+        [record] = json_lines(result)
+        assert (record["check_name"], record["status"]) == (check_name, "input_error")
+
     # fullwidth three and Arabic-Indic digits, which \d and int() both accept
     @pytest.mark.parametrize("alpha", ["３", "١/٢"])
     def test_scalar_flag_takes_ascii_digits_only(self, alpha):

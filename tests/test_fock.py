@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from conftest import partitions, reset_columns, scalars
+from conftest import partitions, scalars, swapped
 from virasoro import fock
 from virasoro.core import FreeVector
 
@@ -124,7 +124,8 @@ class TestNormalPair:
     def test_single_commutator_instance(self):
         report = fock.check_normal_pair_commutator(2, -2, 1, 4, Fraction(1, 2))
         assert report.status == "pass"
-        assert report.parameters["n"] == "2"
+        assert report.parameters == {"n": "2", "m": "-2", "k": "1", "max_level": "4",
+                                     "alpha": "1/2"}
 
     def test_central_term_appears_on_vacuum(self):
         # at n + m = 0 the commutator picks up k(n+k) with sign from the
@@ -181,7 +182,7 @@ class TestSugawara:
         result = fock.sugawara_l(n, fock.basis(alpha, partition))
         assert dict(result.items()) == oracles.fock_sugawara(n, partition, alpha)
 
-    def test_column_denominator_is_the_lcm_of_its_factors(self, monkeypatch):
+    def test_column_denominator_is_the_lcm_of_its_factors(self):
         """J columns whose denominators do not divide 2b² still give exact L columns.
 
         With alpha = 2/3 every true column has a denominator dividing 2·3²;
@@ -196,9 +197,7 @@ class TestSugawara:
             return original(k, partition, alpha) + extra
 
         alpha = Fraction(2, 3)
-        reset_columns()
-        monkeypatch.setattr(fock, "_j_basis", skewed)
-        try:
+        with swapped(fock, "_j_basis", skewed):
             for n in range(-2, 3):
                 for partition in fock.partitions_up_to(3):
                     v = fock.basis(alpha, partition)
@@ -207,9 +206,6 @@ class TestSugawara:
                     for k in range(n - bound + 1, bound):
                         expected = expected + HALF * fock.normal_pair(n - k, k, v)
                     assert fock.sugawara_l(n, v) == expected
-        finally:
-            monkeypatch.undo()
-            reset_columns()
 
     # Denominators 1 to 7, two negative charges and the zero charge.
     @pytest.mark.parametrize("alpha", [Fraction(0), Fraction(3), Fraction(-5, 2), Fraction(2, 3),

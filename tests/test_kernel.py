@@ -12,6 +12,7 @@ the independent check; core.apply itself is checked against chain_sum summed
 in Fraction arithmetic.
 """
 
+from contextlib import ExitStack
 from fractions import Fraction
 from functools import lru_cache
 
@@ -20,7 +21,7 @@ from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 import oracles
-from conftest import reset_columns
+from conftest import swapped
 from virasoro import fock, verma
 from virasoro.core import FreeVector, apply, as_pair, chain_sum, chain_tables
 from virasoro.reports import counterexample
@@ -274,23 +275,18 @@ def test_corrupted_column_gives_the_same_report_on_both_paths(data, alpha, c, h,
         out = original(n, partition, *parameters)
         return out + FreeVector.basis(extra, scale) if (n, partition) == (index, at) else out
 
-    reset_columns()
-    try:
-        with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(module, name, corrupted)
-            report = run()
-            event(f"report {report.status}")
-            assert (report.status, report.checked_count, report.counterexample) == reference()
-    finally:
-        reset_columns()
+    with swapped(module, name, corrupted):
+        report = run()
+        event(f"report {report.status}")
+        assert (report.status, report.checked_count, report.counterexample) == reference()
 
 
 A = Fraction(1, 2)
 
 
 @pytest.fixture
-def corrupt_j(monkeypatch):
-    """Adds e_p to J(k) e_p for each given (k, p), with the caches cleared around the test."""
+def corrupt_j():
+    """Adds e_p to J(k) e_p for each given (k, p), swapped in until the test ends."""
     original = fock._j_basis
 
     def corrupt(*at):
@@ -299,12 +295,10 @@ def corrupt_j(monkeypatch):
             out = original(k, partition, alpha)
             return out + FreeVector.basis(partition) if (k, partition) in at else out
 
-        monkeypatch.setattr(fock, "_j_basis", corrupted)
+        stack.enter_context(swapped(fock, "_j_basis", corrupted))
 
-    reset_columns()
-    yield corrupt
-    monkeypatch.undo()
-    reset_columns()
+    with ExitStack() as stack:
+        yield corrupt
 
 
 def _failing_partitions(indices):

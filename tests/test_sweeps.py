@@ -14,7 +14,7 @@ from functools import lru_cache
 
 import pytest
 
-from conftest import reset_columns
+from conftest import reset_columns, swapped
 from virasoro import fock, sweeps, verma
 from virasoro.core import FreeVector
 
@@ -22,8 +22,7 @@ A = Fraction(1, 2)
 C, H = Fraction(-22, 5), Fraction(-1, 5)
 
 
-@pytest.fixture
-def j_defect(monkeypatch):
+def broken_j():
     """J(0) on J(-2)J(-1)|α⟩ returns (α + 1) times it instead of α times it."""
     original = fock._j_basis
 
@@ -34,15 +33,10 @@ def j_defect(monkeypatch):
             return out + FreeVector.basis(partition)
         return out
 
-    reset_columns()
-    monkeypatch.setattr(fock, "_j_basis", broken)
-    yield
-    monkeypatch.undo()
-    reset_columns()
+    return swapped(fock, "_j_basis", broken)
 
 
-@pytest.fixture
-def l_defect(monkeypatch):
+def broken_l():
     """L(-1) on J(-1)|α⟩ picks up one extra J(-1)J(-1)|α⟩; the J columns are intact."""
     original = fock._sugawara_basis
 
@@ -53,15 +47,10 @@ def l_defect(monkeypatch):
             return out + FreeVector.basis((1, 1))
         return out
 
-    reset_columns()
-    monkeypatch.setattr(fock, "_sugawara_basis", broken)
-    yield
-    monkeypatch.undo()
-    reset_columns()
+    return swapped(fock, "_sugawara_basis", broken)
 
 
-@pytest.fixture
-def act_defect(monkeypatch):
+def broken_act():
     """L(0) on L(-2)|c,h⟩ picks up one extra L(-2)|c,h⟩."""
     original = verma._act_basis
 
@@ -72,73 +61,75 @@ def act_defect(monkeypatch):
             return out + FreeVector.basis((2,))
         return out
 
-    reset_columns()
-    monkeypatch.setattr(verma, "_act_basis", broken)
-    yield
-    monkeypatch.undo()
-    reset_columns()
+    return swapped(verma, "_act_basis", broken)
+
+
+@pytest.fixture
+def j_defect():
+    with broken_j():
+        yield
 
 
 FAILURES = [
-    ("j_defect", lambda jobs: fock.check_heisenberg_relations(2, 3, A, jobs),
+    (broken_j, lambda jobs: fock.check_heisenberg_relations(2, 3, A, jobs),
      "FAIL heisenberg-relations alpha=1/2 max_index=2 max_level=3 checked_count=16 "
      "counterexample.actual='-1·J(-2)J(-1)|α⟩' counterexample.expected=0 "
      "counterexample.indices.k=-2 counterexample.indices.l=0 "
      "counterexample.input='1·J(-1)|α⟩'"),
-    ("j_defect", lambda jobs: fock.check_primary_field(2, 3, A, jobs),
+    (broken_j, lambda jobs: fock.check_primary_field(2, 3, A, jobs),
      "FAIL primary-field alpha=1/2 max_index=2 max_level=3 checked_count=2 "
      "counterexample.actual='1·J(-2)J(-2)J(-1)|α⟩ + 2·J(-4)J(-1)|α⟩' "
      "counterexample.expected='2·J(-4)J(-1)|α⟩' "
      "counterexample.indices.k=-2 counterexample.indices.n=-2 "
      "counterexample.input='1·J(-1)|α⟩'"),
-    ("j_defect", lambda jobs: fock.check_normal_pair_commutator(1, 0, 0, 3, A),
+    (broken_j, lambda jobs: fock.check_normal_pair_commutator(1, 0, 0, 3, A),
      "FAIL normal-pair-commutator alpha=1/2 k=0 m=0 max_level=3 n=1 checked_count=6 "
      "counterexample.actual='4·J(-1)J(-1)|α⟩ + 1·J(-2)|α⟩' counterexample.expected=0 "
      "counterexample.indices.k=0 counterexample.indices.m=0 counterexample.indices.n=1 "
      "counterexample.input='1·J(-2)J(-1)|α⟩'"),
-    ("j_defect", lambda jobs: fock.sweep_normal_pair(1, 1, 3, A, jobs),
+    (broken_j, lambda jobs: fock.sweep_normal_pair(1, 1, 3, A, jobs),
      "FAIL normal-pair-commutator alpha=1/2 max_index=1 max_k=1 max_level=3 checked_count=3 "
      "counterexample.actual='-3/2·J(-2)J(-1)J(-1)|α⟩' "
      "counterexample.expected='1/2·J(-2)J(-1)J(-1)|α⟩' "
      "counterexample.indices.k=-1 counterexample.indices.m=-1 counterexample.indices.n=-1 "
      "counterexample.input='1·J(-1)J(-1)|α⟩'"),
-    ("j_defect", lambda jobs: fock.check_sugawara_commutator(2, 3, A, jobs),
+    (broken_j, lambda jobs: fock.check_sugawara_commutator(2, 3, A, jobs),
      "FAIL sugawara-commutator alpha=1/2 max_index=2 max_level=3 checked_count=9 "
      "counterexample.actual='-3/2·J(-2)J(-1)J(-1)|α⟩ + -1/2·J(-3)J(-1)|α⟩ + -1·J(-4)|α⟩' "
      "counterexample.expected='-1·J(-2)J(-1)J(-1)|α⟩ + -1/2·J(-3)J(-1)|α⟩ + -1·J(-4)|α⟩' "
      "counterexample.indices.m=-1 counterexample.indices.n=-2 "
      "counterexample.input='1·J(-1)|α⟩'"),
-    ("act_defect", lambda jobs: verma.check_verma_relations(2, 3, C, H, jobs),
+    (broken_act, lambda jobs: verma.check_verma_relations(2, 3, C, H, jobs),
      "FAIL verma-relations c=-22/5 h=-1/5 max_index=2 max_level=3 checked_count=15 "
      "counterexample.actual='-3·L(-2)|c,h⟩' counterexample.expected='-2·L(-2)|c,h⟩' "
      "counterexample.indices.m=0 counterexample.indices.n=-2 "
      "counterexample.input='1·|c,h⟩'"),
-    ("act_defect", lambda jobs: verma.check_intertwining(A, 2, 3, jobs),
+    (broken_act, lambda jobs: verma.check_intertwining(A, 2, 3, jobs),
      "FAIL fock-verma-intertwining alpha=1/2 max_index=2 max_level=3 checked_count=18 "
      "counterexample.actual='25/16·J(-1)J(-1)|α⟩ + 25/16·J(-2)|α⟩' "
      "counterexample.expected='17/16·J(-1)J(-1)|α⟩ + 17/16·J(-2)|α⟩' "
      "counterexample.indices.a=0 counterexample.input='1·L(-2)|c,h⟩'"),
-    ("j_defect", lambda jobs: verma.check_intertwining(A, 2, 3, jobs),
+    (broken_j, lambda jobs: verma.check_intertwining(A, 2, 3, jobs),
      "FAIL fock-verma-intertwining alpha=1/2 max_index=2 max_level=3 checked_count=7 "
      "counterexample.actual='1/2·J(-2)J(-1)J(-1)J(-1)|α⟩ + 1/2·J(-2)J(-2)J(-1)|α⟩ "
      "+ 1/4·J(-3)J(-1)J(-1)|α⟩ + 5/4·J(-3)J(-2)|α⟩ + 2·J(-4)J(-1)|α⟩ + 3/2·J(-5)|α⟩' "
      "counterexample.expected='1/2·J(-2)J(-1)J(-1)J(-1)|α⟩ + 3/2·J(-2)J(-2)J(-1)|α⟩ "
      "+ 1/4·J(-3)J(-1)J(-1)|α⟩ + 5/4·J(-3)J(-2)|α⟩ + 2·J(-4)J(-1)|α⟩ + 3/2·J(-5)|α⟩' "
      "counterexample.indices.a=-2 counterexample.input='1·L(-3)|c,h⟩'"),
-    ("l_defect", lambda jobs: fock.check_sugawara_commutator(2, 3, A, jobs),
+    (broken_l, lambda jobs: fock.check_sugawara_commutator(2, 3, A, jobs),
      "FAIL sugawara-commutator alpha=1/2 max_index=2 max_level=3 checked_count=9 "
      "counterexample.actual='1/2·J(-1)J(-1)J(-1)J(-1)|α⟩ + -1/2·J(-2)J(-1)J(-1)|α⟩ "
      "+ 3/2·J(-3)J(-1)|α⟩ + -1·J(-4)|α⟩' "
      "counterexample.expected='-1·J(-2)J(-1)J(-1)|α⟩ + -1/2·J(-3)J(-1)|α⟩ + -1·J(-4)|α⟩' "
      "counterexample.indices.m=-1 counterexample.indices.n=-2 "
      "counterexample.input='1·J(-1)|α⟩'"),
-    ("l_defect", lambda jobs: fock.check_primary_field(2, 3, A, jobs),
+    (broken_l, lambda jobs: fock.check_primary_field(2, 3, A, jobs),
      "FAIL primary-field alpha=1/2 max_index=2 max_level=3 checked_count=37 "
      "counterexample.actual='-1·J(-2)J(-1)J(-1)|α⟩ + 2·J(-3)J(-1)|α⟩' "
      "counterexample.expected='2·J(-3)J(-1)|α⟩' "
      "counterexample.indices.k=-2 counterexample.indices.n=-1 "
      "counterexample.input='1·J(-1)|α⟩'"),
-    ("l_defect", lambda jobs: verma.check_intertwining(A, 2, 3, jobs),
+    (broken_l, lambda jobs: verma.check_intertwining(A, 2, 3, jobs),
      "FAIL fock-verma-intertwining alpha=1/2 max_index=2 max_level=3 checked_count=13 "
      "counterexample.actual='3/8·J(-1)J(-1)J(-1)J(-1)|α⟩ + 9/8·J(-2)J(-1)J(-1)|α⟩ "
      "+ 1/4·J(-2)J(-2)|α⟩ + 7/4·J(-3)J(-1)|α⟩ + 3/2·J(-4)|α⟩' "
@@ -155,9 +146,9 @@ FAILURE_IDS = ["heisenberg", "primary-field", "normal-pair-one", "normal-pair-sw
 
 @pytest.mark.parametrize("jobs", [1, 2])
 @pytest.mark.parametrize("defect,run,expected", FAILURES, ids=FAILURE_IDS)
-def test_injected_defect_fails_with_exact_report(request, defect, run, expected, jobs):
-    request.getfixturevalue(defect)
-    assert run(jobs).to_text() == expected
+def test_injected_defect_fails_with_exact_report(defect, run, expected, jobs):
+    with defect():
+        assert run(jobs).to_text() == expected
 
 
 # The J case of "sugawara" patches the J builder only; its sweep reads L columns alone.  The
@@ -165,19 +156,17 @@ def test_injected_defect_fails_with_exact_report(request, defect, run, expected,
 @pytest.mark.parametrize("jobs", [1, 2])
 @pytest.mark.parametrize("case", ["heisenberg", "sugawara", "sugawara-l-column",
                                   "verma-relations", "intertwining-fock", "intertwining-l-column"])
-def test_column_tables_follow_a_replaced_builder(request, monkeypatch, case, jobs):
+def test_column_tables_follow_a_replaced_builder(case, jobs):
     """Resetting the tables and caches around a builder swap keeps every sweep coherent.
 
-    The first sweep passes and fills the tables; the defect fixture resets them and swaps a
+    The first sweep passes and fills the tables; conftest.swapped resets them and swaps a
     builder, so the pinned report must show; after the undo and a reset the sweep passes again.
     """
     defect, run, expected = dict(zip(FAILURE_IDS, FAILURES))[case]
     reset_columns()
     assert run(1).status == "pass"
-    request.getfixturevalue(defect)
-    assert run(jobs).to_text() == expected
-    monkeypatch.undo()
-    reset_columns()
+    with defect():
+        assert run(jobs).to_text() == expected
     assert run(jobs).status == "pass"
 
 

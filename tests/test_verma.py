@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from conftest import partitions, reset_columns, scalars
+from conftest import partitions, scalars, swapped
 from virasoro import fock, verma
 from virasoro.core import FreeVector, as_pair
 
@@ -147,7 +147,7 @@ class TestRelations:
         assert report.status == "pass"
         assert report.checked_count == 12
 
-    def test_highest_weight_fails_under_broken_action(self, monkeypatch):
+    def test_highest_weight_fails_under_broken_action(self):
         original = verma._act_basis
 
         @lru_cache(maxsize=None)
@@ -157,16 +157,11 @@ class TestRelations:
                 return out + FreeVector.basis(())
             return out
 
-        reset_columns()
-        monkeypatch.setattr(verma, "_act_basis", broken)
-        try:
+        with swapped(verma, "_act_basis", broken):
             assert verma.verma_hw_check(C, H).to_text() == (
                 "FAIL verma-highest-weight c=1 h=1/8 max_index=10 checked_count=4 "
                 "counterexample.actual='1·|c,h⟩' counterexample.expected=0 "
                 "counterexample.indices.operator='L(2)' counterexample.input='1·|c,h⟩'")
-        finally:
-            monkeypatch.undo()
-            reset_columns()
 
     def test_highest_weight_fixtures(self):
         for c, h in WEIGHT_FIXTURES:

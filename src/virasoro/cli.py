@@ -18,6 +18,7 @@ import re
 import shlex
 import sys
 from fractions import Fraction
+from typing import Callable
 
 from .core import ScalarFormatError, format_scalar, parse_integer, parse_scalar
 from .reports import INPUT_ERROR
@@ -64,15 +65,17 @@ def _format(text: str) -> str:
     return text
 
 
-def _echo_json(record: dict):
-    print(json.dumps(record, sort_keys=True, separators=(",", ":")))
+def _echo(fmt: str, record: Callable[[], dict], text: Callable[[], str]):
+    """Print record() as one JSON line with sorted keys, or text(): only the one fmt asks for."""
+    if fmt == "json":
+        print(json.dumps(record(), sort_keys=True, separators=(",", ":")))
+    else:
+        print(text())
 
 
 def _input_error(fmt: str, check_name: str, message: str):
-    if fmt == "json":
-        _echo_json({"check_name": check_name, "status": INPUT_ERROR, "message": message})
-    else:
-        print(f"{INPUT_ERROR.upper()} {check_name} message={shlex.quote(message)}")
+    _echo(fmt, lambda: {"check_name": check_name, "status": INPUT_ERROR, "message": message},
+          lambda: f"{INPUT_ERROR.upper()} {check_name} message={shlex.quote(message)}")
     sys.exit(2)
 
 
@@ -129,10 +132,7 @@ def verify(kind, window, max_index, max_level, alpha, c, h, input_path,
     }
     reports = sweeps[kind]()
     for report in reports:
-        if fmt == "json":
-            _echo_json(report.to_json_dict())
-        else:
-            print(report.to_text())
+        _echo(fmt, report.to_json_dict, report.to_text)
     return int(any(not report.passed() for report in reports))
 
 
@@ -149,19 +149,14 @@ def reduce(input_path, window, fmt) -> int:
         beta, r, residual = cohomology.reduce_cocycle(oracle, window)
     except (cohomology.CocycleIdentityError, ValueError) as exc:
         _input_error(fmt, "cocycle-reduction", str(exc))
-    if fmt == "json":
-        _echo_json({
-            "check_name": "cocycle-reduction",
-            "parameters": {"window": str(window), "cocycle": oracle.description},
-            "r": format_scalar(r),
-            "beta": {"window": beta.window,
-                     "values": [[n, format_scalar(value)] for n, value in beta.items()]},
-        })
-        _echo_json(residual.to_json_dict())
-    else:
-        print(cohomology.dump_one_cochain(beta), end="")
-        print(f"r\t{format_scalar(r)}")
-        print(residual.to_text())
+    _echo(fmt, lambda: {
+        "check_name": "cocycle-reduction",
+        "parameters": {"window": str(window), "cocycle": oracle.description},
+        "r": format_scalar(r),
+        "beta": {"window": beta.window,
+                 "values": [[n, format_scalar(value)] for n, value in beta.items()]},
+    }, lambda: f"{cohomology.dump_one_cochain(beta)}r\t{format_scalar(r)}")
+    _echo(fmt, residual.to_json_dict, residual.to_text)
     return int(not residual.passed())
 
 
@@ -174,16 +169,12 @@ def nontrivial(input_path, use_virasoro, window, fmt) -> int:
     from . import cohomology
     oracle = _load_oracle(fmt, "nontriviality-witness", use_virasoro, input_path)
     witness = cohomology.nontriviality_witness(oracle, window)
-    if fmt == "json":
-        _echo_json({
-            "check_name": "nontriviality-witness",
-            "parameters": {"window": str(window), "cocycle": oracle.description},
-            "witness": list(witness) if witness else None,
-        })
-    else:
-        shown = f"{witness[0]},{witness[1]}" if witness else "none"
-        print(f"WITNESS nontriviality-witness cocycle={shlex.quote(oracle.description)} "
-              f"window={window} witness={shown}")
+    shown = f"{witness[0]},{witness[1]}" if witness else "none"
+    _echo(fmt, lambda: {"check_name": "nontriviality-witness",
+                        "parameters": {"window": str(window), "cocycle": oracle.description},
+                        "witness": list(witness) if witness else None},
+          lambda: f"WITNESS nontriviality-witness cocycle={shlex.quote(oracle.description)} "
+                  f"window={window} witness={shown}")
     return 0
 
 

@@ -13,7 +13,6 @@ from __future__ import annotations
 from bisect import bisect_right
 from fractions import Fraction
 from itertools import product
-from pathlib import Path
 from typing import Callable, Iterable, Mapping
 
 from .core import (ZERO, FreeVector, ScalarFormatError, as_scalar, format_scalar, parse_integer,
@@ -217,14 +216,6 @@ def nontriviality_witness(omega: CocycleOracle, window: int):
 # "#" and a mandatory first record "window<TAB>W"; cocycle tables then carry
 # "m<TAB>n<TAB>value" lines with m < n, one-cochains carry "n<TAB>value".
 
-def _records(text: str):
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        yield lineno, line.split("\t")
-
-
 def _parse_index(token: str, lineno: int) -> int:
     try:
         return parse_integer(token)
@@ -239,71 +230,68 @@ def _parse_value(token: str, lineno: int) -> Fraction:
         raise TableFormatError(f"line {lineno}: {exc}") from None
 
 
-def _parse_header(records) -> tuple[int, object]:
-    try:
-        lineno, fields = next(records)
-    except StopIteration:
-        raise TableFormatError("missing header line 'window<TAB>W'") from None
+def _read_table(text: str, *names: str) -> tuple[int, dict]:
+    """The window and the {key: value} rows of a table whose rows are "names...<TAB>value".
+
+    A row's key is its index, or the tuple of its indices for several names;
+    the indices ascend strictly (m < n), lie in the window and no key repeats.
+    """
+    records = [(lineno, line.split("\t"))
+               for lineno, line in enumerate(map(str.strip, text.splitlines()), start=1)
+               if line and not line.startswith("#")]
+    if not records:
+        raise TableFormatError("missing header line 'window<TAB>W'")
+    (lineno, fields), *records = records
     if len(fields) != 2 or fields[0] != "window":
         raise TableFormatError(f"line {lineno}: expected header 'window<TAB>W'")
     window = _parse_index(fields[1], lineno)
     if window < 0:
         raise TableFormatError(f"line {lineno}: window must be nonnegative")
-    return window, records
+    layout, noun = "<TAB>".join(names + ("value",)), "pair" if len(names) > 1 else "index"
+    rows: dict = {}
+    for lineno, fields in records:
+        if len(fields) != len(names) + 1:
+            raise TableFormatError(f"line {lineno}: expected '{layout}'")
+        indices = [_parse_index(token, lineno) for token in fields[:-1]]
+        value = _parse_value(fields[-1], lineno)
+        key = tuple(indices) if len(indices) > 1 else indices[0]
+        if indices != sorted(set(indices)):
+            raise TableFormatError(f"line {lineno}: require {' < '.join(names)}, got {key}")
+        if max(map(abs, indices)) > window:
+            raise TableFormatError(f"line {lineno}: {noun} {key} outside window {window}")
+        if key in rows:
+            raise TableFormatError(f"line {lineno}: duplicate {noun} {key}")
+        rows[key] = value
+    return window, rows
+
+
+def _write_table(window: int, rows: Iterable[tuple]) -> str:
+    """The header, then one "indices...<TAB>value" line per (*indices, value) row."""
+    lines = [f"window\t{window}"]
+    lines += ["\t".join([*map(str, indices), format_scalar(value)]) for *indices, value in rows]
+    return "\n".join(lines) + "\n"
 
 
 def parse_cocycle_table(text: str) -> CocycleOracle:
-    window, records = _parse_header(_records(text))
-    entries: dict[tuple[int, int], Fraction] = {}
-    for lineno, fields in records:
-        if len(fields) != 3:
-            raise TableFormatError(f"line {lineno}: expected 'm<TAB>n<TAB>value'")
-        m = _parse_index(fields[0], lineno)
-        n = _parse_index(fields[1], lineno)
-        value = _parse_value(fields[2], lineno)
-        if m >= n:
-            raise TableFormatError(f"line {lineno}: require m < n, got ({m}, {n})")
-        if max(abs(m), abs(n)) > window:
-            raise TableFormatError(f"line {lineno}: pair ({m}, {n}) outside window {window}")
-        if (m, n) in entries:
-            raise TableFormatError(f"line {lineno}: duplicate pair ({m}, {n})")
-        entries[(m, n)] = value
+    window, entries = _read_table(text, "m", "n")
     return CocycleOracle(lambda m, n: entries.get((m, n), ZERO), f"table(window={window})")
 
 
 def load_cocycle_table(path) -> CocycleOracle:
-    return parse_cocycle_table(Path(path).read_text(encoding="utf-8"))
+    with open(path, encoding="utf-8") as file:
+        return parse_cocycle_table(file.read())
 
 
 def dump_cocycle_table(omega: CocycleOracle, window: int) -> str:
     """The table of omega's nonzero values on the ordered pairs m < n of the window."""
-    lines = [f"window\t{window}"]
-    for m in range(-window, window + 1):
-        for n in range(m + 1, window + 1):
-            value = omega(m, n)
-            if value:
-                lines.append(f"{m}\t{n}\t{format_scalar(value)}")
-    return "\n".join(lines) + "\n"
+    return _write_table(window, ((m, n, value) for m in range(-window, window + 1)
+                                 for n in range(m + 1, window + 1) for value in (omega(m, n),)
+                                 if value))
 
 
 def parse_one_cochain(text: str) -> OneCochain:
-    window, records = _parse_header(_records(text))
-    values: dict[int, Fraction] = {}
-    for lineno, fields in records:
-        if len(fields) != 2:
-            raise TableFormatError(f"line {lineno}: expected 'n<TAB>value'")
-        n = _parse_index(fields[0], lineno)
-        value = _parse_value(fields[1], lineno)
-        if abs(n) > window:
-            raise TableFormatError(f"line {lineno}: index {n} outside window {window}")
-        if n in values:
-            raise TableFormatError(f"line {lineno}: duplicate index {n}")
-        values[n] = value
-    return OneCochain(window, values)
+    return OneCochain(*_read_table(text, "n"))
 
 
 def dump_one_cochain(beta: OneCochain) -> str:
-    lines = [f"window\t{beta.window}"]
-    for n, value in beta.items():
-        lines.append(f"{n}\t{format_scalar(value)}")
-    return "\n".join(lines) + "\n"
+    return _write_table(beta.window, beta.items())

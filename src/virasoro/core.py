@@ -52,13 +52,10 @@ def parse_scalar(text: str) -> Fraction:
     A leading ASCII hyphen or Unicode minus (U+2212) is accepted; a zero
     denominator is rejected.
     """
-    normalized = _normalized(text, _SCALAR_RE, "scalar")
-    numerator, _, denominator = normalized.partition("/")
-    if denominator:
-        if int(denominator) == 0:
-            raise ScalarFormatError(f"invalid scalar {text!r}: zero denominator")
-        return Fraction(int(numerator), int(denominator))
-    return Fraction(int(numerator))
+    try:
+        return Fraction(_normalized(text, _SCALAR_RE, "scalar"))
+    except ZeroDivisionError:
+        raise ScalarFormatError(f"invalid scalar {text!r}: zero denominator") from None
 
 
 def format_scalar(value: Fraction) -> str:
@@ -101,18 +98,11 @@ class FreeVector:
             setattr(cls, name, property(lambda self, position=position: self.module[position]))
 
     def __init__(self, coeffs: Mapping | Iterable | None = None):
-        table: dict = {}
-        if coeffs is not None:
-            items = coeffs.items() if hasattr(coeffs, "items") else coeffs
-            for index, raw in items:
-                value = as_scalar(raw)
-                if value:
-                    previous = table.get(index)
-                    table[index] = value if previous is None else previous + value
-        self._den = lcm(*(value.denominator for value in table.values()))
-        self._num = {index: value.numerator * (self._den // value.denominator)
-                     for index, value in table.items() if value}
-        self.module = ()
+        items = coeffs.items() if hasattr(coeffs, "items") else coeffs or ()
+        vector = FreeVector._reduce(*_accumulate(
+            (value.numerator, value.denominator, {index: 1})
+            for index, raw in items for value in (as_scalar(raw),) if value))
+        self._num, self._den, self.module = vector._num, vector._den, ()
 
     @classmethod
     def _wrap(cls, num: dict, den: int = 1, module: tuple = ()) -> "FreeVector":
@@ -228,9 +218,8 @@ def _accumulate(columns: Iterable[tuple]) -> tuple[dict, int]:
 
 def bilinear_extend(pair_map: Callable, left: FreeVector, right: FreeVector, zero: FreeVector):
     """Extend a basis-pair map bilinearly to vectors, into zero's class and module."""
-    table, den = _accumulate((a * b, image._den, image._num) for i, a in left._num.items()
-                             for j, b in right._num.items() for image in (pair_map(i, j),))
-    return type(zero)._reduce(table, den * left._den * right._den, zero.module)
+    return type(zero)._sum(((a * b, pair_map(i, j)) for i, a in left._num.items()
+                            for j, b in right._num.items()), zero.module, left._den * right._den)
 
 
 class Column(dict):

@@ -105,6 +105,10 @@ class TestFreeVector:
     def test_scalar_multiple_rejects_floats(self):
         with pytest.raises(TypeError):
             FreeVector({1: 1}) * 0.5  # noqa: B018
+        with pytest.raises(TypeError):
+            FreeVector({1: 0.5})
+        with pytest.raises(TypeError):
+            fock.FockVector(ALPHA, {(1,): 0.5})
 
     @given(free_vectors(), free_vectors(), scalars)
     def test_module_axioms(self, u, v, a):

@@ -56,9 +56,6 @@ def basis(alpha, partition) -> FockVector:
     return FockVector.basis(as_partition(partition), module=(as_scalar(alpha),))
 
 
-format_vector = FockVector.__str__
-
-
 # The operator caches take the charge as its (numerator, denominator) pair.
 
 @lru_cache(maxsize=None)

@@ -36,9 +36,6 @@ def basis(c, h, partition) -> VermaVector:
     return VermaVector.basis(as_partition(partition), module=(as_scalar(c), as_scalar(h)))
 
 
-format_vector = VermaVector.__str__
-
-
 @lru_cache(maxsize=None)
 def _act_basis(a: int, partition: Partition, c: tuple[int, int],
                h: tuple[int, int]) -> FreeVector:
@@ -81,10 +78,6 @@ def l_action(a: int, v: VermaVector) -> VermaVector:
     return apply([(1, (act_column(a, *map(as_pair, v.module)),))], v)
 
 
-def c_action(v: VermaVector) -> VermaVector:
-    return v.c * v
-
-
 def _relations(c, h, n, m):
     return fock.virasoro_commutator(partial(act_column, c=c, h=h), Fraction(*c), n, m)
 
@@ -100,7 +93,9 @@ def verma_hw_check(c, h, max_index: int = 10) -> VerificationReport:
     """L(0) v = h v, C v = c v and L(n) v = 0 for 1 <= n <= max_index."""
     v = hw_vector(c, h)
     parameters = dict(zip(v.parameters, map(format_scalar, v.module)), max_index=str(max_index))
-    cases = [("L(0)", l_action(0, v), v.h * v), ("C", c_action(v), v.c * v)]
+    # C read off the straightening: [L(3), L(-3)] = 6 L(0) + 2C, and L(3) v = 0.
+    central = Fraction(1, 2) * (l_action(3, l_action(-3, v)) - 6 * l_action(0, v))
+    cases = [("L(0)", l_action(0, v), v.h * v), ("C", central, v.c * v)]
     cases += [(f"L({n})", l_action(n, v), ZERO * v) for n in range(1, max_index + 1)]
     return first_counterexample("verma-highest-weight", parameters,
                                 (mismatch({"operator": label}, expected, actual, input_text=str(v))

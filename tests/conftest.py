@@ -4,6 +4,7 @@ import os
 import sys
 from contextlib import contextmanager, redirect_stderr, redirect_stdout
 from fractions import Fraction
+from functools import lru_cache
 from pathlib import Path
 from typing import NamedTuple
 from unittest import mock
@@ -74,6 +75,23 @@ def swapped(module, name: str, builder):
     finally:
         multiprocessing.set_start_method(method, force=True)
         reset_columns()
+
+
+def corrupted(module, name: str, defects: dict):
+    """swapped(module, name, build), where build is the builder plus defects[index, start].
+
+    build(index, start, *parameters) is the original builder's image, with the vector
+    defects[index, start] added where that key is present.  It is memoized like the builder
+    it replaces, so a recursive builder's calls and another builder's reads stay memoized.
+    """
+    original = getattr(module, name)
+
+    @lru_cache(maxsize=None)
+    def build(index, start, *parameters):
+        out = original(index, start, *parameters)
+        return out + defects[index, start] if (index, start) in defects else out
+
+    return swapped(module, name, build)
 
 
 @st.composite

@@ -14,14 +14,13 @@ in Fraction arithmetic.
 
 from contextlib import ExitStack
 from fractions import Fraction
-from functools import lru_cache
 
 import pytest
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 import oracles
-from conftest import swapped
+from conftest import corrupted
 from virasoro import fock, verma
 from virasoro.core import FreeVector, apply, as_pair, chain_sum, chain_tables
 from virasoro.reports import counterexample
@@ -266,16 +265,9 @@ COLUMNS = {"j": (fock, "_j_basis"), "l": (fock, "_sugawara_basis"), "act": (verm
 def test_corrupted_column_gives_the_same_report_on_both_paths(data, alpha, c, h, which):
     families, run, reference = _sweeps(alpha, c, h)[which]
     module, name = COLUMNS[data.draw(st.sampled_from(families))]
-    original = getattr(module, name)
     index, at = data.draw(small), data.draw(basis_partitions)
     extra, scale = data.draw(basis_partitions), data.draw(nonzero)
-
-    @lru_cache(maxsize=None)
-    def corrupted(n, partition, *parameters):
-        out = original(n, partition, *parameters)
-        return out + FreeVector.basis(extra, scale) if (n, partition) == (index, at) else out
-
-    with swapped(module, name, corrupted):
+    with corrupted(module, name, {(index, at): FreeVector.basis(extra, scale)}):
         report = run()
         event(f"report {report.status}")
         assert (report.status, report.checked_count, report.counterexample) == reference()
@@ -287,18 +279,9 @@ A = Fraction(1, 2)
 @pytest.fixture
 def corrupt_j():
     """Adds e_p to J(k) e_p for each given (k, p), swapped in until the test ends."""
-    original = fock._j_basis
-
-    def corrupt(*at):
-        @lru_cache(maxsize=None)
-        def corrupted(k, partition, alpha):
-            out = original(k, partition, alpha)
-            return out + FreeVector.basis(partition) if (k, partition) in at else out
-
-        stack.enter_context(swapped(fock, "_j_basis", corrupted))
-
     with ExitStack() as stack:
-        yield corrupt
+        yield lambda *at: stack.enter_context(
+            corrupted(fock, "_j_basis", {(k, p): FreeVector.basis(p) for k, p in at}))
 
 
 def _failing_partitions(indices):

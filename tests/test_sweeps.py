@@ -10,11 +10,10 @@ import concurrent.futures
 import os
 from collections import Counter
 from fractions import Fraction
-from functools import lru_cache
 
 import pytest
 
-from conftest import reset_columns, swapped
+from conftest import corrupted, reset_columns
 from virasoro import fock, sweeps, verma
 from virasoro.core import FreeVector
 
@@ -24,44 +23,17 @@ C, H = Fraction(-22, 5), Fraction(-1, 5)
 
 def broken_j():
     """J(0) on J(-2)J(-1)|α⟩ returns (α + 1) times it instead of α times it."""
-    original = fock._j_basis
-
-    @lru_cache(maxsize=None)
-    def broken(k, partition, alpha):
-        out = original(k, partition, alpha)
-        if k == 0 and partition == (2, 1):
-            return out + FreeVector.basis(partition)
-        return out
-
-    return swapped(fock, "_j_basis", broken)
+    return corrupted(fock, "_j_basis", {(0, (2, 1)): FreeVector.basis((2, 1))})
 
 
 def broken_l():
     """L(-1) on J(-1)|α⟩ picks up one extra J(-1)J(-1)|α⟩; the J columns are intact."""
-    original = fock._sugawara_basis
-
-    @lru_cache(maxsize=None)
-    def broken(n, partition, alpha):
-        out = original(n, partition, alpha)
-        if n == -1 and partition == (1,):
-            return out + FreeVector.basis((1, 1))
-        return out
-
-    return swapped(fock, "_sugawara_basis", broken)
+    return corrupted(fock, "_sugawara_basis", {(-1, (1,)): FreeVector.basis((1, 1))})
 
 
 def broken_act():
     """L(0) on L(-2)|c,h⟩ picks up one extra L(-2)|c,h⟩."""
-    original = verma._act_basis
-
-    @lru_cache(maxsize=None)
-    def broken(a, partition, c, h):
-        out = original(a, partition, c, h)
-        if a == 0 and partition == (2,):
-            return out + FreeVector.basis((2,))
-        return out
-
-    return swapped(verma, "_act_basis", broken)
+    return corrupted(verma, "_act_basis", {(0, (2,)): FreeVector.basis((2,))})
 
 
 @pytest.fixture
@@ -159,7 +131,7 @@ def test_injected_defect_fails_with_exact_report(defect, run, expected, jobs):
 def test_column_tables_follow_a_replaced_builder(case, jobs):
     """Resetting the tables and caches around a builder swap keeps every sweep coherent.
 
-    The first sweep passes and fills the tables; conftest.swapped resets them and swaps a
+    The first sweep passes and fills the tables; conftest.corrupted resets them and swaps a
     builder, so the pinned report must show; after the undo and a reset the sweep passes again.
     """
     defect, run, expected = dict(zip(FAILURE_IDS, FAILURES))[case]

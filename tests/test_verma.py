@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from conftest import partitions, scalars, swapped
+from conftest import corrupted, partitions, scalars
 from virasoro import fock, verma
 from virasoro.core import FreeVector, as_pair
 
@@ -33,8 +33,8 @@ class TestVermaVector:
 
     def test_format(self):
         v = verma.basis(C, H, (2, 1)) + verma.hw_vector(C, H)
-        assert verma.format_vector(v) == "1·|c,h⟩ + 1·L(-2)L(-1)|c,h⟩"
-        assert verma.format_vector(0 * v) == "0"
+        assert str(v) == "1·|c,h⟩ + 1·L(-2)L(-1)|c,h⟩"
+        assert str(0 * v) == "0"
 
 
 class TestAction:
@@ -43,7 +43,6 @@ class TestAction:
         assert verma.l_action(3, v).is_zero()
         assert verma.l_action(0, v) == H * v
         assert verma.l_action(-4, v) == verma.basis(C, H, (4,))
-        assert verma.c_action(v) == C * v
 
     def test_canonical_prepend(self):
         assert verma.l_action(-3, verma.basis(C, H, (2, 1))) == verma.basis(C, H, (3, 2, 1))
@@ -148,20 +147,19 @@ class TestRelations:
         assert report.checked_count == 12
 
     def test_highest_weight_fails_under_broken_action(self):
-        original = verma._act_basis
-
-        @lru_cache(maxsize=None)
-        def broken(a, partition, c, h):
-            out = original(a, partition, c, h)
-            if a == 2 and partition == ():
-                return out + FreeVector.basis(())
-            return out
-
-        with swapped(verma, "_act_basis", broken):
+        with corrupted(verma, "_act_basis", {(2, ()): FreeVector.basis(())}):
             assert verma.verma_hw_check(C, H).to_text() == (
                 "FAIL verma-highest-weight c=1 h=1/8 max_index=10 checked_count=4 "
                 "counterexample.actual='1·|c,h⟩' counterexample.expected=0 "
                 "counterexample.indices.operator='L(2)' counterexample.input='1·|c,h⟩'")
+
+    def test_highest_weight_fails_without_the_central_term(self):
+        # L(3) L(-3)|c,h⟩ loses its 2c, so the C row reads 0 instead of c.
+        with corrupted(verma, "_act_basis", {(3, (3,)): FreeVector.basis((), -2 * C)}):
+            assert verma.verma_hw_check(C, H).to_text() == (
+                "FAIL verma-highest-weight c=1 h=1/8 max_index=10 checked_count=2 "
+                "counterexample.actual=0 counterexample.expected='1·|c,h⟩' "
+                "counterexample.indices.operator=C counterexample.input='1·|c,h⟩'")
 
     def test_highest_weight_fixtures(self):
         for c, h in WEIGHT_FIXTURES:

@@ -1,22 +1,24 @@
 """The runner shared by the identity sweeps.
 
 A sweep checks one identity on every start of a basis list (partitions of a
-module up to a level bound, or the indices of a window) for each index
-record.  The identity maps a record's indices to its two sides, each a list
-of chain terms (coeff, (f_1, ..., f_k)) standing for the operator sum of
-coeff * f_k...f_1, every f a cached basis column (see `core.chain_tables`).
-`decide_record` decides a record in one pass: it applies lhs - rhs to every
-start into the start's own integer table, and returns None for each start
-that holds, up to and including the first start with a nonzero table, which
-is rendered as the counterexample.  `run_sweep` chains these outcomes, in
-canonical order (records as listed, then starts as listed), into
-`reports.first_counterexample`, which counts them up to the first
-counterexample.  A serial run decides no record after the failing one.  A
-parallel run cancels only the chunks still waiting in its pool: the workers'
-chunks and up to workers + 1 queued for them run on (60 of 81 records of
-heisenberg 4/4 failing at record 4, on 2 workers), and the count ignores
-their outcomes.  So reports are identical for any job count.  Every module
-sweep is wired by `module_sweep`: starts, renderer, report fields and keys.
+module up to a level bound, or the indices of a window) for each index record.
+The identity maps a record's indices to its two sides, each a list of chain
+terms (coeff, (f_1, ..., f_k)) standing for the operator sum of coeff *
+f_k...f_1, every f a cached basis column (see `core.chain_tables`).  `plan`
+marks a record decided only if its formal sum lhs - rhs is nonzero and neither
+an earlier record's sum nor its negation, as the antisymmetric [L(n), L(m)] and
+[J(k), J(l)] repeat each defect negated: equal sums give equal tables, so every
+other record holds unless an earlier one has failed.  `decide_record` decides a
+record in one pass: it applies lhs - rhs to every start into the start's own
+integer table, and returns None for each start that holds, up to and including
+the first start with a nonzero table, which is rendered as the counterexample.
+`run_sweep` chains these outcomes and the held records' in canonical order
+(records, then starts) into `reports.first_counterexample`, which counts them
+up to the first counterexample.  A serial run decides no record after the
+failing one.  A parallel run cancels only the chunks still waiting in its pool:
+the workers' chunks and up to workers + 1 queued for them run on (16 to 36 of
+the 36 decided records of heisenberg 4/4 failing at record 4, on 2 workers),
+and the count ignores their outcomes.  Reports are identical for any job count.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from __future__ import annotations
 import os
 from contextlib import closing
 from functools import partial
-from itertools import chain, product
+from itertools import chain, compress, product
 
 from .core import ModuleVector, apply, as_pair, chain_tables, format_scalar, partitions_up_to
 from .reports import VerificationReport, counterexample, first_counterexample
@@ -73,6 +75,22 @@ def decide_record(identity, starts, render, indices: dict) -> list:
     return [None] * len(tables)
 
 
+def plan(identity, tasks: list[dict]) -> list[bool]:
+    """Per record, whether to decide it: its formal lhs - rhs is nonzero and new up to sign."""
+    seen, decided = {}, []
+    for indices in tasks:
+        lhs, rhs = identity(**indices)
+        formal = {}
+        for coeff, factors in lhs + [(-coeff, factors) for coeff, factors in rhs]:
+            formal[factors] = formal[factors] + coeff if factors in formal else coeff
+        formal = {factors: coeff for factors, coeff in formal.items() if coeff}
+        earlier = seen.setdefault(frozenset(formal), [])  # the sums on these chains so far
+        decided.append(bool(formal) and all(formal != other and any(
+            coeff != -other[factors] for factors, coeff in formal.items()) for other in earlier))
+        earlier.append(formal)
+    return decided
+
+
 def run_sweep(check_name: str, parameters: dict, identity, tasks: list[dict], starts,
               render, jobs: int) -> VerificationReport:
     """Check the sides identity(**indices) on every record and every start.
@@ -82,15 +100,21 @@ def run_sweep(check_name: str, parameters: dict, identity, tasks: list[dict], st
     more than one worker runs.
     """
     decide = partial(decide_record, identity, starts, render)
-    workers = worker_count(jobs, len(tasks))
+    decided, held = plan(identity, tasks), [None] * len(starts)
+    work = list(compress(tasks, decided))
+
+    def merged(outcomes):  # the decided records' outcomes, each other record's as held
+        return chain.from_iterable(next(outcomes) if new else held for new in decided)
+
+    workers = worker_count(jobs, len(work))
     if workers <= 1:
-        return first_counterexample(check_name, parameters, chain.from_iterable(map(decide, tasks)))
+        return first_counterexample(check_name, parameters, merged(map(decide, work)))
     from concurrent.futures import ProcessPoolExecutor
     # Closing the result iterator cancels the chunks still waiting in the pool; the chunks
     # already taken or queued for the workers run on, and the count ignores their outcomes.
     with ProcessPoolExecutor(max_workers=workers) as pool, closing(pool.map(
-            decide, tasks, chunksize=max(1, len(tasks) // (workers * 4)))) as records:
-        return first_counterexample(check_name, parameters, chain.from_iterable(records))
+            decide, work, chunksize=max(1, len(work) // (workers * 4)))) as records:
+        return first_counterexample(check_name, parameters, merged(records))
 
 
 def module_sweep(check_name: str, parameters: dict, identity, tasks: list[dict], max_level: int,

@@ -43,6 +43,7 @@ def jacobi_identity(pair: Callable) -> Callable:
     ad = Column(lambda a: Column(partial(pair, a)).__getitem__)
     right = Column(lambda a: Column(lambda x: pair(x, a)).__getitem__)
 
+    @lru_cache(maxsize=None)  # a sweep reads each record's sides to plan it and to decide it
     def sides(m, n):
         return [(1, (ad[n], ad[m])), (1, (right[m], ad[n]))] + [
             (c, (right[p],)) for p, c in ad[m](n).items()], []

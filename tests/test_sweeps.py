@@ -1,4 +1,4 @@
-"""The sweep runner: worker clamping, and every partition sweep driven to FAIL.
+"""The sweep runner: worker clamping, the record plan, and every partition sweep driven to FAIL.
 
 Each injected defect corrupts one cached basis action: a J column, an L
 column of the Fock module, or an L column of the highest-weight module.  The reports below are
@@ -10,12 +10,17 @@ import concurrent.futures
 import os
 from collections import Counter
 from fractions import Fraction
+from functools import partial
+from itertools import chain
 
 import pytest
+from hypothesis import event, given, settings
+from hypothesis import strategies as st
 
 from conftest import corrupted, reset_columns
 from virasoro import fock, sweeps, verma
-from virasoro.core import FreeVector
+from virasoro.core import Column, FreeVector
+from virasoro.reports import first_counterexample
 
 A = Fraction(1, 2)
 C, H = Fraction(-22, 5), Fraction(-1, 5)
@@ -218,9 +223,10 @@ def test_parallel_sweep_stops_at_the_earliest_failing_record(j_defect, monkeypat
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", LazyExecutor)
     assert fock.check_heisenberg_relations(2, 3, A, jobs=2) == serial
-    # the failing record (k, l) = (-2, 0) is the third of 25
+    # the failing record (k, l) = (-2, 0) is the third of 25; the first, (-2, -2), is formally
+    # zero and is not handed to the pool
     assert serial.counterexample["indices"] == {"k": "-2", "l": "0"}
-    assert len(handed) == 3
+    assert len(handed) == 2
 
 
 def test_serial_sweep_decides_no_record_after_its_first_failing_one(j_defect, monkeypatch):
@@ -233,9 +239,9 @@ def test_serial_sweep_decides_no_record_after_its_first_failing_one(j_defect, mo
 
     monkeypatch.setattr(sweeps, "decide_record", counting)
     report = fock.check_heisenberg_relations(2, 3, A, jobs=1)
-    # the failing record (k, l) = (-2, 0) is the third of 25
+    # the failing record (k, l) = (-2, 0) is the third of 25; (-2, -2) is formally zero
     assert report.counterexample["indices"] == {"k": "-2", "l": "0"}
-    assert decided == [{"k": -2, "l": -2}, {"k": -2, "l": -1}, {"k": -2, "l": 0}]
+    assert decided == [{"k": -2, "l": -1}, {"k": -2, "l": 0}]
 
 
 def test_one_task_sweep_starts_no_pool(monkeypatch):
@@ -246,3 +252,122 @@ def test_one_task_sweep_starts_no_pool(monkeypatch):
     report = fock.sweep_normal_pair(0, 0, 2, A, jobs=10**6)
     assert report.status == "pass"
     assert report.checked_count == len(fock.partitions_up_to(2))
+    # the one record (k, l) = (0, 0) is formally zero, so no record is decided
+    report = fock.check_heisenberg_relations(0, 2, A, jobs=10**6)
+    assert report.status == "pass"
+    assert report.checked_count == len(fock.partitions_up_to(2))
+
+
+@pytest.fixture
+def decided(monkeypatch):
+    """The indices of every record handed to sweeps.decide_record, in order."""
+    handed = []
+    decide = sweeps.decide_record
+
+    def counting(identity, starts, render, indices):
+        handed.append(indices)
+        return decide(identity, starts, render, indices)
+
+    monkeypatch.setattr(sweeps, "decide_record", counting)
+    return handed
+
+
+# (sweep at a benchmark size, its max_level, records decided, records): [L(n), L(m)] and
+# [J(k), J(l)] decide one record of each pair {(n, m), (m, n)} with n != m, and normal-pair
+# one of each pair {k, m - k}; the primary field and the intertwining repeat no defect.
+PLANNED = {
+    "sugawara": (lambda: fock.check_sugawara_commutator(6, 8, A), 8, 78, 169),
+    "heisenberg": (lambda: fock.check_heisenberg_relations(8, 8, A), 8, 136, 289),
+    "normal-pair": (lambda: fock.sweep_normal_pair(4, 4, 5, A), 5, 477, 729),
+    "verma": (lambda: verma.check_verma_relations(5, 6, C, H), 6, 55, 121),
+    "primary-field": (lambda: fock.check_primary_field(6, 6, A), 6, 169, 169),
+    "intertwine": (lambda: verma.check_intertwining(A, 4, 5), 5, 9, 9),
+}
+
+
+@pytest.mark.parametrize("case", PLANNED)
+def test_sweep_decides_each_distinct_formal_defect_once(case, decided):
+    run, max_level, decisions, records = PLANNED[case]
+    report = run()
+    assert report.status == "pass"
+    assert report.checked_count == records * len(fock.partitions_up_to(max_level))
+    assert len(decided) == decisions
+
+
+def _synthetic(records):
+    """run_sweep over the starts -2..2, record r having the sides records[r].
+
+    f and g are two tables of the same columns, with f(0) = 0, so [(1, "f")] against
+    [(1, "g")] holds; f and g differ as chains, as a defect in one of two builders would make
+    them.  A failing start is rendered as its record and start.
+    """
+    f, g = (Column(lambda start: FreeVector.basis(start + 1, start)).__getitem__ for _ in "fg")
+    sides = [tuple([(coeff, tuple({"f": f, "g": g}[name] for name in chain))
+                    for coeff, chain in side] for side in record) for record in records]
+    return sweeps.run_sweep("synthetic", {}, lambda r: sides[r],
+                            [{"r": r} for r in range(len(records))], range(-2, 3),
+                            lambda indices, start, _: indices | {"start": start}, 1)
+
+
+# records, the records decided, and the report's counterexample (None: every record holds)
+SYNTHETIC = {
+    "zero": ([([(1, "f")], [(1, "f")]), ([(1, "f"), (-1, "f")], []), ([(0, "fg")], [])],
+             [], None),
+    "equal": ([([(1, "f")], [(1, "g")]), ([(1, "f"), (0, "")], [(1, "g")])], [0], None),
+    "negated": ([([(1, "f")], [(1, "g")]), ([(1, "g")], [(1, "f")]),
+                 ([(-1, "f")], [(-1, "g")])], [0], None),
+    "other coefficients": ([([(1, "f")], [(1, "g")]), ([(2, "f")], [(2, "g")])], [0, 1], None),
+    "partly negated": ([([(1, "f")], [(1, "g")]), ([(-1, "f")], [(1, "g")])], [0, 1],
+                       {"r": 1, "start": -2}),
+    "other order": ([([(1, "fg")], [(1, "gf")]), ([(1, "gf")], [(1, "fg")]),
+                     ([(1, "fg")], [(1, "gf"), (0, "f")])], [0], None),
+    # the same set of terms as record 0, and as a set of terms the sides of record 2 agree
+    "repeated term": ([([(1, "f")], [(1, "g")]), ([(1, "f"), (1, "f")], [(1, "g"), (1, "g")]),
+                       ([(1, "f"), (1, "f")], [(1, "f")])], [0, 1, 2], {"r": 2, "start": -2}),
+}
+
+
+@pytest.mark.parametrize("case", SYNTHETIC)
+def test_plan_decides_only_new_nonzero_formal_sums(case, decided):
+    """Every record counts; a zero, equal or negated formal lhs - rhs is not decided."""
+    records, decisions, found = SYNTHETIC[case]
+    report = _synthetic(records)
+    assert report.counterexample == found
+    assert report.checked_count == 5 * len(records) - 4 * (found is not None)
+    assert decided == [{"r": r} for r in decisions]
+
+
+SWEEPS = {
+    "_j_basis": [lambda jobs: fock.check_heisenberg_relations(2, 3, A, jobs),
+                 lambda jobs: fock.sweep_normal_pair(1, 1, 3, A, jobs),
+                 lambda jobs: fock.check_sugawara_commutator(2, 3, A, jobs)],
+    "_sugawara_basis": [lambda jobs: fock.check_sugawara_commutator(2, 3, A, jobs),
+                        lambda jobs: fock.check_primary_field(2, 3, A, jobs),
+                        lambda jobs: verma.check_intertwining(A, 2, 3, jobs)],
+    "_act_basis": [lambda jobs: verma.check_verma_relations(2, 3, C, H, jobs),
+                   lambda jobs: verma.check_intertwining(A, 2, 3, jobs)],
+}
+
+
+def every_record(check_name, parameters, identity, tasks, starts, render, jobs):
+    """run_sweep without the plan: every record decided, serially."""
+    decide = partial(sweeps.decide_record, identity, starts, render)
+    return first_counterexample(check_name, parameters, chain.from_iterable(map(decide, tasks)))
+
+
+@settings(max_examples=25, deadline=None)
+@given(data=st.data(), name=st.sampled_from(sorted(SWEEPS)),
+       defects=st.dictionaries(st.tuples(st.integers(-4, 4), st.sampled_from(
+           fock.partitions_up_to(3))), st.tuples(st.sampled_from(fock.partitions_up_to(4)),
+                                                  st.integers(-2, 2)), max_size=3))
+def test_planned_sweep_reports_as_deciding_every_record(data, name, defects):
+    run = data.draw(st.sampled_from(SWEEPS[name]))
+    module = verma if name == "_act_basis" else fock
+    vectors = {key: FreeVector.basis(*value) for key, value in defects.items()}
+    with corrupted(module, name, vectors), pytest.MonkeyPatch.context() as patch:
+        patch.setattr(sweeps, "run_sweep", every_record)
+        reference = run(1)
+        patch.undo()
+        event(f"reference {reference.status}")
+        assert run(1) == reference
+        assert run(2) == reference

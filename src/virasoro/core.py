@@ -154,9 +154,6 @@ class FreeVector:
     def items(self) -> list[tuple]:
         return [(index, Fraction(value, self._den)) for index, value in sorted(self._num.items())]
 
-    def support(self) -> list:
-        return sorted(self._num)
-
     def is_zero(self) -> bool:
         return not self._num
 
@@ -277,12 +274,6 @@ def chain_tables(starts: Iterable, terms: Iterable[tuple]) -> tuple[list[dict], 
             for key, entry in column._num.items():
                 table[key] = table.get(key, 0) + value * entry
     return tables, den
-
-
-def chain_sum(index, terms: Iterable[tuple]) -> tuple[dict, int]:
-    """The one-start case of chain_tables: the table of e_index and its denominator."""
-    tables, den = chain_tables((index,), terms)
-    return tables[0], den
 
 
 def apply(terms: list[tuple], v: FreeVector, target: FreeVector | None = None) -> FreeVector:

@@ -28,10 +28,6 @@ def as_partition(parts) -> Partition:
     return partition
 
 
-def level(partition: Partition) -> int:
-    return sum(partition)
-
-
 def insert_part(partition: Partition, part: int) -> Partition:
     return tuple(sorted(partition + (part,), reverse=True))
 
@@ -125,12 +121,8 @@ def sugawara_l(n: int, v: FockVector) -> FockVector:
     return apply([(1, (sugawara_column(n, as_pair(v.alpha)),))], v)
 
 
-def weighted_sum_check(n: int) -> bool:
-    """sum_{0 <= l < n} (n - l) l == (n^3 - n)/6, the scalar behind [L(n), L(-n)]."""
-    return _weighted_sum_defect(n) is None
-
-
 def _weighted_sum_defect(n: int) -> dict | None:
+    """sum_{0 <= l < n} (n - l) l against (n^3 - n)/6, the scalar behind [L(n), L(-n)]."""
     return mismatch({"n": n}, Fraction(n**3 - n, 6), sum((n - l) * l for l in range(n)))
 
 

@@ -12,6 +12,8 @@ other record holds unless an earlier one has failed.  `decide_record` decides a
 record in one pass: it applies lhs - rhs to every start into the start's own
 integer table, and returns None for each start that holds, up to and including
 the first start with a nonzero table, which is rendered as the counterexample.
+The plan and the serial decisions share one build of each record's sides; pool
+workers get the bare identity and rebuild a record's sides from its indices.
 `run_sweep` chains these outcomes and the held records' in canonical order
 (records, then starts) into `reports.first_counterexample`, which counts them
 up to the first counterexample.  A serial run decides no record after the
@@ -25,7 +27,7 @@ from __future__ import annotations
 
 import os
 from contextlib import closing
-from functools import partial
+from functools import lru_cache, partial
 from itertools import chain, compress, product
 
 from .core import ModuleVector, apply, as_pair, chain_tables, format_scalar, partitions_up_to
@@ -99,14 +101,15 @@ def run_sweep(check_name: str, parameters: dict, identity, tasks: list[dict], st
     where the sides differ.  The identity and render must be picklable when
     more than one worker runs.
     """
-    decide = partial(decide_record, identity, starts, render)
-    decided, held = plan(identity, tasks), [None] * len(starts)
+    built = lru_cache(maxsize=None)(identity)  # for the plan and serial decisions; not picklable
+    decided, held = plan(built, tasks), [None] * len(starts)
     work = list(compress(tasks, decided))
 
     def merged(outcomes):  # the decided records' outcomes, each other record's as held
         return chain.from_iterable(next(outcomes) if new else held for new in decided)
 
     workers = worker_count(jobs, len(work))
+    decide = partial(decide_record, built if workers <= 1 else identity, starts, render)
     if workers <= 1:
         return first_counterexample(check_name, parameters, merged(map(decide, work)))
     from concurrent.futures import ProcessPoolExecutor

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from functools import lru_cache, partial
+from functools import partial
 from typing import Callable
 
 from .core import Column, FreeVector, apply, bilinear_extend
@@ -23,10 +23,6 @@ def jacobi_defect(x: FreeVector, y: FreeVector, z: FreeVector) -> FreeVector:
     return bracket(x, bracket(y, z)) + bracket(y, bracket(z, x)) + bracket(z, bracket(x, y))
 
 
-def check_jacobi(x: FreeVector, y: FreeVector, z: FreeVector) -> bool:
-    return jacobi_defect(x, y, z).is_zero()
-
-
 def format_vector(v: FreeVector) -> str:
     if v.is_zero():
         return "0"
@@ -36,14 +32,14 @@ def format_vector(v: FreeVector) -> str:
 def jacobi_identity(pair: Callable) -> Callable:
     """(m, n) -> [e_m, [e_n, x]] + [e_n, [x, e_m]] + [x, [e_m, e_n]] against 0, in chain terms.
 
-    pair is the bracket of two basis indices.  With ad_a = [e_a, .] and R_a = [., e_a] read off
-    it through tables the identity owns, the sides are ad_m ad_n x + ad_n R_m x + sum_p c_p R_p x,
-    where [e_m, e_n] = sum_p c_p e_p.  No antisymmetry is assumed.
+    pair is the bracket of two basis indices.  With ad_a = [e_a, .] read off it through tables
+    the identity owns and R_a = [., e_a] read as R_a x = ad_x a, so each ordered bracket is built
+    once, the sides are ad_m ad_n x + ad_n R_m x + sum_p c_p R_p x, where
+    [e_m, e_n] = sum_p c_p e_p.  No antisymmetry is assumed.
     """
     ad = Column(lambda a: Column(partial(pair, a)).__getitem__)
-    right = Column(lambda a: Column(lambda x: pair(x, a)).__getitem__)
+    right = Column(lambda a: Column(lambda x: ad[x](a)).__getitem__)
 
-    @lru_cache(maxsize=None)  # a sweep reads each record's sides to plan it and to decide it
     def sides(m, n):
         return [(1, (ad[n], ad[m])), (1, (right[m], ad[n]))] + [
             (c, (right[p],)) for p, c in ad[m](n).items()], []
@@ -61,7 +57,6 @@ def jacobi_basis_sweep(max_index: int) -> VerificationReport:
         return counterexample(indices | {"k": k}, expected="0",
                               actual=format_vector(apply(sides[0], FreeVector.basis(k))))
 
-    identity = jacobi_identity(lru_cache(maxsize=None)(bracket_pair))
-    return run_sweep("witt-jacobi", {"max_index": str(max_index)}, identity,
+    return run_sweep("witt-jacobi", {"max_index": str(max_index)}, jacobi_identity(bracket_pair),
                      index_grid(m=max_index, n=max_index), range(-max_index, max_index + 1),
                      render, 1)

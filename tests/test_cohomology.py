@@ -303,6 +303,11 @@ class TestOneCochain:
         with pytest.raises(ValueError, match="outside window"):
             co.OneCochain(2, {3: 1})
 
+    def test_negative_window_rejected(self):
+        # table input never gets here: the table reader rejects a negative window first
+        with pytest.raises(ValueError, match="window must be nonnegative"):
+            co.OneCochain(-1)
+
     def test_zero_values_dropped(self):
         assert co.OneCochain(4, {1: 0, 2: 1, -2: -1}).items() == [
             (-2, Fraction(-1)), (2, Fraction(1))]

@@ -1,15 +1,15 @@
 """The chain kernel core.chain_tables against the vector path and the oracles.
 
 The module sweeps decide each record on one chain_tables pass over its
-partitions, and chain_sum is its one-start case.  Here chain_tables is
-checked against a per-start Fraction reference, and every chain of
-operator columns is also applied one vector at a time (j_action,
-sugawara_l, normal_pair, l_action) and by the word-rewriting oracles; and
-whole sweeps, with one cached column corrupted at random, are rerun as the
-vector path would run them, instance by instance.  The vector operators
-apply the same chains through core.apply, so the word-rewriting oracles are
-the independent check; core.apply itself is checked against chain_sum summed
-in Fraction arithmetic.
+partitions.  Here chain_tables is checked against a per-start Fraction
+reference, and every chain of operator columns is also applied one vector
+at a time (j_action, sugawara_l, normal_pair, l_action) and by the
+word-rewriting oracles; and whole sweeps, with one cached column corrupted
+at random, are rerun as the vector path would run them, instance by
+instance.  The vector operators apply the same chains through core.apply,
+so the word-rewriting oracles are the independent check; core.apply itself
+is checked against one-start chain_tables passes summed in Fraction
+arithmetic.
 """
 
 from contextlib import ExitStack
@@ -22,7 +22,7 @@ from hypothesis import strategies as st
 import oracles
 from conftest import corrupted
 from virasoro import fock, verma
-from virasoro.core import FreeVector, apply, as_pair, chain_sum, chain_tables
+from virasoro.core import FreeVector, apply, as_pair, chain_tables
 from virasoro.reports import counterexample
 from virasoro.sweeps import index_grid
 
@@ -81,7 +81,8 @@ def _combined(terms_values):
 
 
 def _kernel(partition, terms):
-    return dict(FreeVector._reduce(*chain_sum(partition, terms)).items())
+    (table,), den = chain_tables((partition,), terms)
+    return dict(FreeVector._reduce(table, den).items())
 
 
 terms_of = st.lists(st.tuples(exact, st.lists(fock_ops, max_size=3)), min_size=1, max_size=3)
@@ -124,10 +125,10 @@ def test_verma_chains_match_vector_path_and_oracle(c, h, partition, terms):
 
 
 def _chain_sum_reference(v, terms):
-    """Sum over v's support of coeff * chain_sum(index, terms), in Fraction arithmetic."""
+    """Sum over v's support of coeff * the one-start chain_tables of index, in Fractions."""
     total = {}
     for index, coeff in v.items():
-        table, den = chain_sum(index, terms)
+        (table,), den = chain_tables((index,), terms)
         for key, value in table.items():
             total[key] = total.get(key, 0) + coeff * Fraction(value, den)
     return {key: value for key, value in total.items() if value}

@@ -18,7 +18,7 @@ from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 from conftest import corrupted, reset_columns
-from virasoro import fock, sweeps, verma
+from virasoro import fock, sweeps, verma, witt
 from virasoro.core import Column, FreeVector
 from virasoro.reports import first_counterexample
 
@@ -256,6 +256,26 @@ def test_one_task_sweep_starts_no_pool(monkeypatch):
     report = fock.check_heisenberg_relations(0, 2, A, jobs=10**6)
     assert report.status == "pass"
     assert report.checked_count == len(fock.partitions_up_to(2))
+
+
+def test_serial_sweep_builds_each_record_once(monkeypatch):
+    """The plan and the serial decisions share one build of each record's sides."""
+    calls = Counter()
+
+    def counted(name, identity):
+        def counting(*args, **indices):
+            calls[name] += 1
+            return identity(*args, **indices)
+        return counting
+
+    monkeypatch.setattr(fock, "_normal_pair_commutator",
+                        counted("normal-pair", fock._normal_pair_commutator))
+    jacobi = witt.jacobi_identity
+    monkeypatch.setattr(witt, "jacobi_identity", lambda pair: counted("witt", jacobi(pair)))
+    assert fock.sweep_normal_pair(4, 4, 5, A).passed()
+    assert witt.jacobi_basis_sweep(3).passed()
+    # 9^3 normal-pair records, 477 of them decided; 7^2 Jacobi records, every one decided
+    assert calls == {"normal-pair": 729, "witt": 49}
 
 
 @pytest.fixture

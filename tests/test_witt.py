@@ -43,7 +43,7 @@ class TestJacobi:
     @settings(max_examples=40)
     @given(free_vectors(max_terms=3), free_vectors(max_terms=3), free_vectors(max_terms=3))
     def test_defect_vanishes(self, x, y, z):
-        assert witt.check_jacobi(x, y, z)
+        assert witt.jacobi_defect(x, y, z).is_zero()
 
     def test_sweep_passes(self):
         report = witt.jacobi_basis_sweep(4)

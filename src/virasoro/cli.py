@@ -23,14 +23,6 @@ from typing import Callable
 from .core import ScalarFormatError, format_scalar, parse_integer, parse_scalar
 from .reports import INPUT_ERROR
 
-# Each verify kind imports exactly the library modules it runs, as globals of this module,
-# and so loads nothing else of the package beyond what those import (verma imports fock).
-KINDS = {"witt-jacobi": "witt", "cocycle": "cohomology", "extension": "cohomology extension",
-         "virasoro-constants": "extension", "heisenberg": "extension fock",
-         "primary-field": "fock", "normal-pair": "fock", "sugawara": "fock", "verma": "verma",
-         "verma-hw": "verma", "intertwine": "verma", "sum-identity": "fock"}
-
-
 class _Parser(argparse.ArgumentParser):
     """Options only in full, and a token such as -22/5 after an option read as its value."""
 
@@ -79,20 +71,50 @@ def _input_error(fmt: str, check_name: str, message: str):
     sys.exit(2)
 
 
-def _load_oracle(fmt: str, check_name: str, use_virasoro: bool, input_path):
+def _load_oracle(o, check_name: str):
     from . import cohomology
-    if use_virasoro == (input_path is not None):
-        raise argparse.ArgumentError(None, "exactly one of --virasoro or --input is required")
-    if use_virasoro:
+    if o.use_virasoro == (o.input_path is not None):
+        o.parser.error("exactly one of --virasoro or --input is required")
+    if o.use_virasoro:
         return cohomology.VIRASORO
     try:
-        return cohomology.load_cocycle_table(input_path)
+        return cohomology.load_cocycle_table(o.input_path)
     except (cohomology.TableFormatError, OSError) as exc:
-        _input_error(fmt, check_name, str(exc))
+        _input_error(o.fmt, check_name, str(exc))
 
 
-def verify(kind, window, max_index, max_level, alpha, c, h, input_path,
-           use_virasoro, jobs, fmt) -> int:
+# Each verify kind: the library modules it imports, as globals of this module, so that it
+# loads nothing else of the package beyond what those import (verma imports fock); and its
+# reports, from the parsed options o.
+KINDS = {
+    "witt-jacobi": ("witt", lambda o: [witt.jacobi_basis_sweep(o.max_index)]),
+    "cocycle": ("cohomology", lambda o: [cohomology.check_cocycle_identity(
+        _load_oracle(o, "cocycle-identity"), o.window)]),
+    "extension": ("cohomology extension", lambda o: [
+        extension.check_extension_predicate(extension.WITT, cohomology.VIRASORO, o.max_index),
+        extension.check_extension_predicate(extension.ABELIAN, extension.HEISENBERG,
+                                            o.max_index)]),
+    "virasoro-constants": ("extension", lambda o: [
+        extension.check_virasoro_constants(o.max_index)]),
+    "heisenberg": ("extension fock", lambda o: [
+        extension.check_heisenberg_constants(o.max_index),
+        fock.check_heisenberg_relations(o.max_index, o.max_level, o.alpha, o.jobs)]),
+    "primary-field": ("fock", lambda o: [
+        fock.check_primary_field(o.max_index, o.max_level, o.alpha, o.jobs)]),
+    "normal-pair": ("fock", lambda o: [
+        fock.sweep_normal_pair(o.max_index, o.max_index, o.max_level, o.alpha, o.jobs)]),
+    "sugawara": ("fock", lambda o: [
+        fock.check_sugawara_commutator(o.max_index, o.max_level, o.alpha, o.jobs)]),
+    "verma": ("verma", lambda o: [
+        verma.check_verma_relations(o.max_index, o.max_level, o.c, o.h, o.jobs)]),
+    "verma-hw": ("verma", lambda o: [verma.verma_hw_check(o.c, o.h, o.max_index)]),
+    "intertwine": ("verma", lambda o: [
+        verma.check_intertwining(o.alpha, o.max_index, o.max_level, o.jobs)]),
+    "sum-identity": ("fock", lambda o: [fock.check_weighted_sum(o.max_index)]),
+}
+
+
+def verify(o) -> int:
     """Run the verification sweep KIND and print its report(s).
 
     witt-jacobi: Jacobi identity on basis triples, |indices| <= --max-index.
@@ -106,37 +128,18 @@ def verify(kind, window, max_index, max_level, alpha, c, h, input_path,
     (--c, --h).  intertwine: the canonical module map commutes with the
     generators.  sum-identity: the weighted sum formula for n <= --max-index.
     """
-    if max_index is None:
-        max_index = 10 if kind == "verma-hw" else 4
-    for name in KINDS[kind].split():
+    if o.max_index is None:
+        o.max_index = 10 if o.kind == "verma-hw" else 4
+    modules, sweep = KINDS[o.kind]
+    for name in modules.split():
         globals()[name] = importlib.import_module(f".{name}", __package__)
-    sweeps = {
-        "witt-jacobi": lambda: [witt.jacobi_basis_sweep(max_index)],
-        "cocycle": lambda: [cohomology.check_cocycle_identity(
-            _load_oracle(fmt, "cocycle-identity", use_virasoro, input_path), window)],
-        "extension": lambda: [
-            extension.check_extension_predicate(extension.WITT, cohomology.VIRASORO, max_index),
-            extension.check_extension_predicate(extension.ABELIAN, extension.HEISENBERG,
-                                                max_index)],
-        "virasoro-constants": lambda: [extension.check_virasoro_constants(max_index)],
-        "heisenberg": lambda: [extension.check_heisenberg_constants(max_index),
-                               fock.check_heisenberg_relations(max_index, max_level, alpha, jobs)],
-        "primary-field": lambda: [fock.check_primary_field(max_index, max_level, alpha, jobs)],
-        "normal-pair": lambda: [
-            fock.sweep_normal_pair(max_index, max_index, max_level, alpha, jobs)],
-        "sugawara": lambda: [fock.check_sugawara_commutator(max_index, max_level, alpha, jobs)],
-        "verma": lambda: [verma.check_verma_relations(max_index, max_level, c, h, jobs)],
-        "verma-hw": lambda: [verma.verma_hw_check(c, h, max_index)],
-        "intertwine": lambda: [verma.check_intertwining(alpha, max_index, max_level, jobs)],
-        "sum-identity": lambda: [fock.check_weighted_sum(max_index)],
-    }
-    reports = sweeps[kind]()
+    reports = sweep(o)
     for report in reports:
-        _echo(fmt, report.to_json_dict, report.to_text)
+        _echo(o.fmt, report.to_json_dict, report.to_text)
     return int(any(not report.passed() for report in reports))
 
 
-def reduce(input_path, window, fmt) -> int:
+def reduce(o) -> int:
     """Split a tabulated cocycle as r * virasoro + coboundary.
 
     Prints the correcting one-cochain (in the one-cochain file format), the
@@ -144,37 +147,37 @@ def reduce(input_path, window, fmt) -> int:
     identity on the window is rejected with exit status 2.
     """
     from . import cohomology
-    oracle = _load_oracle(fmt, "cocycle-reduction", False, input_path)
+    oracle = _load_oracle(o, "cocycle-reduction")
     try:
-        beta, r, residual = cohomology.reduce_cocycle(oracle, window)
-    except (cohomology.CocycleIdentityError, ValueError) as exc:
-        _input_error(fmt, "cocycle-reduction", str(exc))
-    _echo(fmt, lambda: {
+        beta, r, residual = cohomology.reduce_cocycle(oracle, o.window)
+    except ValueError as exc:  # a CocycleIdentityError too
+        _input_error(o.fmt, "cocycle-reduction", str(exc))
+    _echo(o.fmt, lambda: {
         "check_name": "cocycle-reduction",
-        "parameters": {"window": str(window), "cocycle": oracle.description},
+        "parameters": {"window": str(o.window), "cocycle": oracle.description},
         "r": format_scalar(r),
         "beta": {"window": beta.window,
                  "values": [[n, format_scalar(value)] for n, value in beta.items()]},
     }, lambda: f"{cohomology.dump_one_cochain(beta)}r\t{format_scalar(r)}")
-    _echo(fmt, residual.to_json_dict, residual.to_text)
+    _echo(o.fmt, residual.to_json_dict, residual.to_text)
     return int(not residual.passed())
 
 
-def nontrivial(input_path, use_virasoro, window, fmt) -> int:
+def nontrivial(o) -> int:
     """Search for a coboundary-ratio mismatch certifying nontriviality.
 
     Prints the witness pair, or reports that none exists in the window.
     Exit status is 0 either way; absence of a witness is not a failure.
     """
     from . import cohomology
-    oracle = _load_oracle(fmt, "nontriviality-witness", use_virasoro, input_path)
-    witness = cohomology.nontriviality_witness(oracle, window)
+    oracle = _load_oracle(o, "nontriviality-witness")
+    witness = cohomology.nontriviality_witness(oracle, o.window)
     shown = f"{witness[0]},{witness[1]}" if witness else "none"
-    _echo(fmt, lambda: {"check_name": "nontriviality-witness",
-                        "parameters": {"window": str(window), "cocycle": oracle.description},
-                        "witness": list(witness) if witness else None},
+    _echo(o.fmt, lambda: {"check_name": "nontriviality-witness",
+                          "parameters": {"window": str(o.window), "cocycle": oracle.description},
+                          "witness": list(witness) if witness else None},
           lambda: f"WITNESS nontriviality-witness cocycle={shlex.quote(oracle.description)} "
-                  f"window={window} witness={shown}")
+                  f"window={o.window} witness={shown}")
     return 0
 
 
@@ -186,7 +189,7 @@ def main(args=None, prog_name=None):
                                         description=run.__doc__)
                for run in (verify, reduce, nontrivial)}
     for run, command in parsers.items():
-        command.set_defaults(run=run)
+        command.set_defaults(run=run, parser=command, use_virasoro=False)
         command.add_argument("--window", type=_at_least(0), default=8, metavar="N",
                              help="Index window for cohomology sweeps (default: 8).")
         command.add_argument("--format", dest="fmt", type=_format, metavar="{text,json}",
@@ -214,13 +217,8 @@ def main(args=None, prog_name=None):
                          metavar="N", help="Worker processes for the module sweeps: heisenberg, "
                          "primary-field, normal-pair, sugawara, verma, intertwine (default: 1, "
                          "or VIRA_JOBS).")
-    options = vars(parser.parse_args(args))
-    run = options.pop("run")
-    try:
-        status = run(**options)
-    except argparse.ArgumentError as exc:
-        parsers[run].error(str(exc))
-    sys.exit(status)
+    options = parser.parse_args(args)
+    sys.exit(options.run(options))
 
 
 def entry():

@@ -14,11 +14,9 @@ from fractions import Fraction
 from functools import lru_cache, partial
 
 from .core import (ZERO, FreeVector, ModuleVector, Partition, _accumulate, apply, as_pair,
-                   as_scalar, column, partitions_of_level, partitions_up_to)
+                   as_scalar, column)
 from .reports import VerificationReport, first_counterexample, mismatch
 from .sweeps import index_grid, module_sweep
-
-# partitions_of_level and partitions_up_to enumerate the basis; importable from here.
 
 
 def as_partition(parts) -> Partition:

@@ -16,8 +16,9 @@ from fractions import Fraction
 from functools import lru_cache, partial
 
 from . import fock
-from .core import ZERO, FreeVector, ModuleVector, apply, as_pair, as_scalar, column, format_scalar
-from .fock import Partition, as_partition
+from .core import (ZERO, FreeVector, ModuleVector, Partition, apply, as_pair, as_scalar, column,
+                   format_scalar)
+from .fock import as_partition
 from .reports import VerificationReport, first_counterexample, mismatch
 from .sweeps import index_grid, module_sweep
 

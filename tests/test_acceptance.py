@@ -18,7 +18,7 @@ from conftest import DATA, GOLDEN, invoke
 from virasoro import cohomology as co
 from virasoro import extension as ext
 from virasoro import fock, verma, witt
-from virasoro.core import FreeVector
+from virasoro.core import FreeVector, partitions_up_to
 
 SEED = 20260819
 
@@ -129,7 +129,7 @@ def test_06_current_relations_and_truncation():
 def test_07_normal_pair_symmetry_and_vanishing():
     with criterion(7, "normal-ordered pairs: index symmetry and out-of-range vanishing"):
         alpha = Fraction(1, 2)
-        for partition in fock.partitions_up_to(6):
+        for partition in partitions_up_to(6):
             v = fock.basis(alpha, partition) if partition else fock.vacuum(alpha)
             bound = fock.truncation_bound(v)
             for k in range(-8, 9):
@@ -179,7 +179,7 @@ def test_12_verma_relations():
             report = verma.check_verma_relations(5, 6, c, h)
             assert report.status == "pass"
             assert report.checked_count == 11 * 11 * 30
-            for partition in fock.partitions_up_to(6):
+            for partition in partitions_up_to(6):
                 v = verma.basis(c, h, partition)
                 assert verma.l_action(0, v) == (h + sum(partition)) * v
 

@@ -344,13 +344,20 @@ class TestContract:
         assert result.exit_code == 0
         assert "--max-index" in result.output
 
-    def test_usage_error_goes_to_stderr(self, capsys):
+    # A missing cocycle source is found after parsing, and reported as a usage error too.
+    @pytest.mark.parametrize("args, message", [
+        (["verify", "sugawara", "--alpha", "1/0"], "invalid scalar"),
+        (["verify", "cocycle"], "exactly one of --virasoro or --input is required"),
+        (["nontrivial", "--window", "4"], "exactly one of --virasoro or --input is required"),
+    ], ids=["bad-scalar", "verify-no-source", "nontrivial-no-source"])
+    def test_usage_error_goes_to_stderr(self, capsys, args, message):
         with pytest.raises(SystemExit) as exit:
-            cli.main(args=["verify", "sugawara", "--alpha", "1/0"], prog_name="vira")
+            cli.main(args=args, prog_name="vira")
         assert exit.value.code == 2
         out, err = capsys.readouterr()
         assert out == ""
-        assert "invalid scalar" in err
+        assert err.startswith(f"usage: vira {args[0]}")
+        assert message in err
 
     def test_main_exits_with_the_command_status(self, capsys):
         with pytest.raises(SystemExit) as passed:
@@ -365,7 +372,7 @@ class TestContract:
         assert lines[1].startswith("FAIL cocycle-identity")
 
 
-# One serial command of each family, run as `python -m virasoro.cli`.
+# One serial command of each family and of each other verify kind, run as `python -m virasoro.cli`.
 FAMILIES = {
     "fock": ("verify", "sugawara", "--max-index", "1", "--max-level", "1"),
     "verma": ("verify", "verma", "--max-index", "1", "--max-level", "1"),
@@ -374,6 +381,13 @@ FAMILIES = {
     "reduce": ("reduce", "--input", str(VIRASORO_TABLE), "--window", "4"),
     "nontrivial": ("nontrivial", "--virasoro", "--window", "4"),
     "extension": ("verify", "extension", "--max-index", "1"),
+    "heisenberg": ("verify", "heisenberg", "--max-index", "1", "--max-level", "1"),
+    "virasoro-constants": ("verify", "virasoro-constants", "--max-index", "1"),
+    "primary-field": ("verify", "primary-field", "--max-index", "1", "--max-level", "1"),
+    "normal-pair": ("verify", "normal-pair", "--max-index", "1", "--max-level", "1"),
+    "sum-identity": ("verify", "sum-identity", "--max-index", "1"),
+    "verma-hw": ("verify", "verma-hw", "--max-index", "1"),
+    "intertwine": ("verify", "intertwine", "--max-index", "1", "--max-level", "1"),
 }
 # Modules a serial command does not use: each costs start-up time in every process.
 UNUSED_MODULES = {"click", "dataclasses", "inspect", "concurrent.futures", "multiprocessing"}
@@ -411,6 +425,13 @@ FAMILY_MODULES = {
     "reduce": {"cohomology"},
     "nontrivial": {"cohomology"},
     "extension": {"extension", "cohomology", "witt", "sweeps"},
+    "heisenberg": {"extension", "cohomology", "witt", "sweeps", "fock"},
+    "virasoro-constants": {"extension", "cohomology", "witt", "sweeps"},
+    "primary-field": {"fock", "sweeps"},
+    "normal-pair": {"fock", "sweeps"},
+    "sum-identity": {"fock", "sweeps"},
+    "verma-hw": {"verma", "fock", "sweeps"},
+    "intertwine": {"verma", "fock", "sweeps"},
 }
 # Runs `vira ARGS` as `python -m virasoro.cli` would and, as the process exits, writes the
 # loaded `virasoro` modules to stderr.  -X importtime is no substitute: it does not log a

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from conftest import free_vectors, scalars
 from virasoro import fock, verma
 from virasoro.core import (FreeVector, ScalarFormatError, apply, as_scalar, bilinear_extend,
-                           format_scalar, parse_scalar)
+                           format_scalar, parse_scalar, partitions_up_to)
 
 ALPHA, C, H = Fraction(1, 2), Fraction(7, 3), Fraction(-1, 5)
 
@@ -189,7 +189,7 @@ class TestModuleVector:
 
 
 # Coefficient tables of mixed denominators, zero values included, over partition indices.
-KEYS = fock.partitions_up_to(3)
+KEYS = partitions_up_to(3)
 fraction_tables = st.dictionaries(
     st.sampled_from(KEYS),
     st.one_of(st.just(Fraction(0)), st.fractions(-6, 6, max_denominator=9)), max_size=5)

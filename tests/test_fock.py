@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 import oracles
 from conftest import partitions, scalars, swapped
 from virasoro import fock
-from virasoro.core import FreeVector
+from virasoro.core import FreeVector, partitions_of_level, partitions_up_to
 
 HALF = Fraction(1, 2)
 
@@ -29,14 +29,14 @@ class TestPartitions:
         assert fock.remove_part((3, 2, 2), 2) == (3, 2)
 
     def test_partitions_of_level(self):
-        assert fock.partitions_of_level(4) == (
+        assert partitions_of_level(4) == (
             (1, 1, 1, 1), (2, 1, 1), (2, 2), (3, 1), (4,))
         # standard partition counts p(0), ..., p(8)
-        counts = [len(fock.partitions_of_level(n)) for n in range(9)]
+        counts = [len(partitions_of_level(n)) for n in range(9)]
         assert counts == [1, 1, 2, 3, 5, 7, 11, 15, 22]
 
     def test_partitions_up_to_ordering(self):
-        listed = fock.partitions_up_to(3)
+        listed = partitions_up_to(3)
         assert listed == ((), (1,), (1, 1), (2,), (1, 1, 1), (2, 1), (3,))
 
 
@@ -89,7 +89,7 @@ class TestCurrentAction:
     def test_commutation_sweep(self):
         report = fock.check_heisenberg_relations(3, 4, Fraction(1, 2))
         assert report.status == "pass"
-        assert report.checked_count == 7 * 7 * len(fock.partitions_up_to(4))
+        assert report.checked_count == 7 * 7 * len(partitions_up_to(4))
 
 
 class TestTruncation:
@@ -198,7 +198,7 @@ class TestSugawara:
         alpha = Fraction(2, 3)
         with swapped(fock, "_j_basis", skewed):
             for n in range(-2, 3):
-                for partition in fock.partitions_up_to(3):
+                for partition in partitions_up_to(3):
                     v = fock.basis(alpha, partition)
                     bound = fock.truncation_bound(v)
                     expected = fock.FockVector(alpha, {})

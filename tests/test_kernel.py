@@ -22,7 +22,7 @@ from hypothesis import strategies as st
 import oracles
 from conftest import corrupted
 from virasoro import fock, verma
-from virasoro.core import FreeVector, apply, as_pair, chain_tables
+from virasoro.core import FreeVector, apply, as_pair, chain_tables, partitions_up_to
 from virasoro.reports import counterexample
 from virasoro.sweeps import index_grid
 
@@ -30,7 +30,7 @@ from virasoro.sweeps import index_grid
 exact = st.builds(Fraction, st.integers(-7, 7), st.integers(1, 7))
 nonzero = st.builds(Fraction, st.integers(1, 7) | st.integers(-7, -1), st.integers(1, 7))
 small = st.integers(-3, 3)
-basis_partitions = st.sampled_from(fock.partitions_up_to(3))
+basis_partitions = st.sampled_from(partitions_up_to(3))
 fock_ops = st.one_of(st.tuples(st.just("J"), small), st.tuples(st.just("L"), small),
                      st.tuples(st.just("P"), small, small))
 
@@ -170,7 +170,7 @@ mixed_terms = st.lists(st.tuples(exact, st.lists(mixed_ops, max_size=3)), max_si
 
 @settings(max_examples=80, deadline=None)
 @given(alpha=exact, c=exact, h=exact, terms=mixed_terms,
-       starts=st.lists(st.sampled_from(fock.partitions_up_to(2)), max_size=6))
+       starts=st.lists(st.sampled_from(partitions_up_to(2)), max_size=6))
 def test_chain_tables_match_per_start_fractions(alpha, c, h, terms, starts):
     def factors(op):
         if op[0] == "V":
@@ -224,7 +224,7 @@ def _reference(identity, records, unit, max_level):
     """Status, checked_count and counterexample of the sweep, one instance at a time."""
     checked = 0
     for indices in records:
-        for partition in fock.partitions_up_to(max_level):
+        for partition in partitions_up_to(max_level):
             v = type(unit).basis(partition, module=unit.module)
             lhs, rhs = identity(**indices, v=v)
             checked += 1
@@ -288,7 +288,7 @@ def corrupt_j():
 def _failing_partitions(indices):
     """The partitions whose heisenberg defect table is nonzero in the record of indices."""
     lhs, rhs = fock._heisenberg(as_pair(A), **indices)
-    partitions = fock.partitions_up_to(3)
+    partitions = partitions_up_to(3)
     tables, _ = chain_tables(partitions, lhs + [(-coeff, chain) for coeff, chain in rhs])
     return [partition for partition, table in zip(partitions, tables) if any(table.values())]
 
@@ -298,7 +298,7 @@ def test_first_failure_at_the_last_partition_of_its_record(corrupt_j, jobs):
     # J(0) on J(-3)|α⟩ is read first in record (k, l) = (-2, 0), the third of 25, and
     # (3,) is the last of the 7 partitions up to level 3
     corrupt_j((0, (3,)))
-    assert _failing_partitions({"k": -2, "l": 0}) == [fock.partitions_up_to(3)[-1]] == [(3,)]
+    assert _failing_partitions({"k": -2, "l": 0}) == [partitions_up_to(3)[-1]] == [(3,)]
     report = fock.check_heisenberg_relations(2, 3, A, jobs)
     assert (report.status, report.checked_count, report.counterexample) == _reference(
         _heisenberg, index_grid(k=2, l=2), fock.vacuum(A), 3)

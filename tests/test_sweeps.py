@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 
 from conftest import corrupted, reset_columns
 from virasoro import fock, sweeps, verma, witt
-from virasoro.core import Column, FreeVector
+from virasoro.core import Column, FreeVector, partitions_up_to
 from virasoro.reports import first_counterexample
 
 A = Fraction(1, 2)
@@ -174,7 +174,7 @@ def test_tables_call_each_builder_once_per_entry(monkeypatch):
                    verma.check_verma_relations(2, 3, C, H), verma.check_intertwining(A, 2, 3)):
         assert report.status == "pass"
     # Every partition of level <= 3 was a start of the intertwining sweep, so its image is built.
-    every = verma.VermaVector(1, A * A / 2, dict.fromkeys(fock.partitions_up_to(3), 1))
+    every = verma.VermaVector(1, A * A / 2, dict.fromkeys(partitions_up_to(3), 1))
     verma.universal_map(A, every)
     assert {name for name, _ in calls} == {"_j_basis", "_sugawara_basis", "_act_basis", "_image"}
     assert set(calls.values()) == {1}
@@ -251,11 +251,11 @@ def test_one_task_sweep_starts_no_pool(monkeypatch):
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
     report = fock.sweep_normal_pair(0, 0, 2, A, jobs=10**6)
     assert report.status == "pass"
-    assert report.checked_count == len(fock.partitions_up_to(2))
+    assert report.checked_count == len(partitions_up_to(2))
     # the one record (k, l) = (0, 0) is formally zero, so no record is decided
     report = fock.check_heisenberg_relations(0, 2, A, jobs=10**6)
     assert report.status == "pass"
-    assert report.checked_count == len(fock.partitions_up_to(2))
+    assert report.checked_count == len(partitions_up_to(2))
 
 
 def test_serial_sweep_builds_each_record_once(monkeypatch):
@@ -310,7 +310,7 @@ def test_sweep_decides_each_distinct_formal_defect_once(case, decided):
     run, max_level, decisions, records = PLANNED[case]
     report = run()
     assert report.status == "pass"
-    assert report.checked_count == records * len(fock.partitions_up_to(max_level))
+    assert report.checked_count == records * len(partitions_up_to(max_level))
     assert len(decided) == decisions
 
 
@@ -378,8 +378,8 @@ def every_record(check_name, parameters, identity, tasks, starts, render, jobs):
 @settings(max_examples=25, deadline=None)
 @given(data=st.data(), name=st.sampled_from(sorted(SWEEPS)),
        defects=st.dictionaries(st.tuples(st.integers(-4, 4), st.sampled_from(
-           fock.partitions_up_to(3))), st.tuples(st.sampled_from(fock.partitions_up_to(4)),
-                                                  st.integers(-2, 2)), max_size=3))
+           partitions_up_to(3))), st.tuples(st.sampled_from(partitions_up_to(4)),
+                                             st.integers(-2, 2)), max_size=3))
 def test_planned_sweep_reports_as_deciding_every_record(data, name, defects):
     run = data.draw(st.sampled_from(SWEEPS[name]))
     module = verma if name == "_act_basis" else fock

@@ -51,7 +51,9 @@ def jacobi_basis_sweep(max_index: int) -> VerificationReport:
 
     Triples run in lexicographic order of (m, n, k); the first defect is
     reported.  Each record (m, n) is decided by one `run_sweep` pass over
-    the window's l(k), reading every basis bracket [l(a), l(b)] once.
+    the window's l(k), reading every basis bracket [l(a), l(b)] once.  Every
+    triple is decided: nothing here checks antisymmetry, which the extension
+    predicate's ascending-triple shortcut needs.
     """
     def render(indices, k, sides):
         return counterexample(indices | {"k": k}, expected="0",

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import free_vectors, one_cochain_values, scalars
+from conftest import GOLDEN, free_vectors, invoke, one_cochain_values, scalars
 from oracles import extension_predicate_reference
 from virasoro import cohomology as co
 from virasoro import extension as ext
@@ -227,14 +227,35 @@ class TestExtensionPredicate:
         assert report.status == "pass"
         # N = 8 labeled elements: the table holds the N^2 labeled pairs, the
         # projection leg brackets N^2 center-shifted pairs, and the outer
-        # brackets add l(s) for 3 < |s| <= 5 next to each of the N elements.
+        # brackets add [x, l(s)] for 3 < |s| <= 5 and each of the N elements x
+        # but l(a) and l(b), where s = a + b with a != b in the window: only a
+        # triple with a repeat reads those, and only ascending triples are decided.
         # Bracketing every Jacobi instance afresh made 6 N^3 = 3,072 calls.
-        assert len(calls) == 64 + 64 + 8 * 4
+        assert len(calls) == 64 + 64 + 8 * 4 - 4 * 2
+
+    def test_jacobi_leg_decides_ascending_triples_only(self, monkeypatch):
+        records = []
+        original = ext.decide_record
+
+        def recorded(identity, starts, render, indices):
+            records.append((indices["m"], indices["n"], list(starts)))
+            return original(identity, starts, render, indices)
+
+        monkeypatch.setattr(ext, "decide_record", recorded)
+        result = invoke("verify", "extension", "--max-index", "3", "--format", "json")
+        assert result == (0, (GOLDEN / "extension.jsonl").read_text(encoding="utf-8"))
+        # per predicate, the C(8, 2) records (u, v) with u before v in the labeled order, each
+        # with the starts w after v: C(8, 3) triples, where deciding all made 8^2 and 8^3
+        order = [()] + [(n,) for n in range(-3, 4)]
+        ascending = [(u, v, order[b + 1:]) for a, u in enumerate(order)
+                     for b, v in enumerate(order) if a < b]
+        assert records == 2 * ascending
+        assert (len(ascending), sum(len(starts) for *_, starts in ascending)) == (28, 56)
 
 
 class TestJacobiOrderWithinRecord:
-    """The Jacobi leg decides a record (u, v) for all w in one pass; the report is still the
-    first w."""
+    """The Jacobi leg decides a record (u, v) for all w after v in one pass; the report is still
+    the first w."""
 
     def check(self, base, omega, text):
         report = ext.check_extension_predicate(base, omega, 2)
@@ -276,21 +297,27 @@ class TestJacobiOrderWithinRecord:
 def extension_cases(draw):
     """A window 0..3 and a base algebra with a pairing to run the predicate on.
 
-    Either the Witt bracket changed at one basis pair (sometimes into itself)
-    with the Virasoro cocycle, or the Witt or abelian bracket with a random
+    Either the Witt bracket changed at one basis pair (sometimes into itself),
+    or changed by x at [l(m), l(n)] and by -x at [l(n), l(m)] for m != n in the
+    window (an antisymmetric defect, which passes every leg before Jacobi), with
+    the Virasoro cocycle, or the Witt or abelian bracket with a random
     table (on windows of two and more mostly not a cocycle) or with
     r * VIRASORO + d(beta), optionally shifted at one pair.  The predicate
     reads brackets of a window index with indices up to twice the window, and
     the changes lie there.
     """
-    window = draw(st.integers(0, 3))
+    kind = draw(st.sampled_from(["base", "antisymmetric", "table", "shifted"]))
+    window = draw(st.integers(1 if kind == "antisymmetric" else 0, 3))
     inner, outer = st.integers(-window, window), st.integers(-2 * window, 2 * window)
-    kind = draw(st.sampled_from(["base", "table", "shifted"]))
-    if kind == "base":
-        m, n = draw(inner), draw(outer)
-        image = witt.bracket_pair(m, n) + draw(free_vectors(max_terms=2, index_bound=2 * window))
-        broken = ext.BaseAlgebra(
-            "broken", lambda a, b: image if (a, b) == (m, n) else witt.bracket_pair(a, b))
+    if kind in ("base", "antisymmetric"):
+        defect = draw(free_vectors(max_terms=2, index_bound=2 * window))
+        if kind == "base":
+            changed = {(draw(inner), draw(outer)): defect}
+        else:
+            m, n = draw(st.lists(inner, min_size=2, max_size=2, unique=True))
+            changed = {(m, n): defect, (n, m): -defect}
+        broken = ext.BaseAlgebra("broken", lambda a, b: witt.bracket_pair(a, b)
+                                 + changed.get((a, b), FreeVector.zero()))
         return window, broken, co.VIRASORO
     base = draw(st.sampled_from([ext.WITT, ext.ABELIAN]))
     if kind == "table":

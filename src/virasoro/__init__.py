@@ -8,12 +8,11 @@ module families.  All coefficients are rational and all comparisons are
 exact; every check produces a machine-readable report.
 """
 
-from .core import FreeVector, Scalar, format_scalar, parse_scalar
+from .core import FreeVector, format_scalar, parse_scalar
 from .reports import VerificationReport
 
 __all__ = [
     "FreeVector",
-    "Scalar",
     "VerificationReport",
     "format_scalar",
     "parse_scalar",

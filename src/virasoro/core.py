@@ -16,8 +16,6 @@ from functools import lru_cache
 from math import gcd, lcm
 from typing import Callable, Iterable, Mapping
 
-Scalar = Fraction
-
 ZERO = Fraction(0)
 ONE = Fraction(1)
 

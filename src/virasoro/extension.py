@@ -10,14 +10,14 @@ cocycle, and the abelian algebra of currents with the Heisenberg cocycle.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache, partial
+from functools import partial
 from itertools import chain, product
 from math import lcm
 from typing import Callable, NamedTuple
 
 from . import witt
 from .cohomology import CocycleOracle, OneCochain, virasoro_cocycle
-from .core import ONE, ZERO, FreeVector, apply, as_scalar, bilinear_extend, format_scalar
+from .core import ONE, ZERO, Column, FreeVector, apply, as_scalar, bilinear_extend, format_scalar
 from .reports import VerificationReport, counterexample, first_counterexample, mismatch
 from .sweeps import decide_record
 
@@ -153,10 +153,11 @@ def check_extension_predicate(base: BaseAlgebra, omega: CocycleOracle,
             projecting it recovers the base bracket of the projections
             (checked on center-shifted pairs, so the centers are ignored);
       (iii) sections: proj(std_section(x)) = x and proj(emb(1)) = 0.
-    Each basis-pair bracket is computed once.  The Jacobi leg decides only the
-    ascending triples u < v < w in the labeled order C, l(-W), ..., l(W), those
-    of a record (u, v) by one `sweeps.decide_record` pass over the w after v
-    (see `witt.jacobi_identity`); every other triple is counted as held.  That
+    Each basis-pair bracket is computed once, in the table `ad` that every leg
+    but the projection reads.  The Jacobi leg decides only the ascending
+    triples u < v < w in the labeled order C, l(-W), ..., l(W), those of a
+    record (u, v) by one `sweeps.decide_record` pass over the w after v (see
+    `witt.jacobi_identity`); every other triple is counted as held.  That
     is exact: once the window bracket is alternating and antisymmetric, the
     defect, bilinear in the outer brackets, is 0 on a triple with a repeat and
     is ± that of its ascending permutation, which comes earlier in the stream.
@@ -165,12 +166,11 @@ def check_extension_predicate(base: BaseAlgebra, omega: CocycleOracle,
     parameters = {"max_index": str(max_index), "base": base.name,
                   "cocycle": omega.description}
     central, zero = emb(ONE), emb(ZERO)
-    # labels and basis indices of C and of l(n) on the window
-    labeled = [("C", ())] + [(str(n), (n,)) for n in range(-max_index, max_index + 1)]
-    pair = lru_cache(maxsize=None)(lambda i, j: ext_bracket(
-        base, omega, ExtElement.basis(i), ExtElement.basis(j)))
-    name = {i: text for text, i in labeled}
-    jacobi = witt.jacobi_identity(pair)
+    # the window basis, C and l(n), in order: basis index -> label
+    name = {(): "C"} | {(n,): str(n) for n in range(-max_index, max_index + 1)}
+    ad = Column(lambda i: Column(lambda j: ext_bracket(
+        base, omega, ExtElement.basis(i), ExtElement.basis(j))).__getitem__)
+    jacobi = witt.jacobi_identity(ad)
 
     def jacobi_failure(indices, k, sides):
         return counterexample({"u": name[indices["m"]], "v": name[indices["n"]], "w": name[k]},
@@ -180,17 +180,17 @@ def check_extension_predicate(base: BaseAlgebra, omega: CocycleOracle,
 
     def outcomes():
         # (i) centrality
-        for label, i in labeled:
+        for i, label in name.items():
             for left, right, side in (((), i, "C"), (i, (), label)):
-                yield mismatch({"u": label, "left": side}, zero, pair(left, right),
+                yield mismatch({"u": label, "left": side}, zero, ad[left](right),
                                format_element, leg="centrality")
 
         # (ii) bracket compatibility
-        for label, i in labeled:
-            yield mismatch({"u": label}, zero, pair(i, i), format_element, leg="bracket")
-        for (label_u, i), (label_v, j) in product(labeled, repeat=2):
+        for i, label in name.items():
+            yield mismatch({"u": label}, zero, ad[i](i), format_element, leg="bracket")
+        for (i, label_u), (j, label_v) in product(name.items(), repeat=2):
             indices = {"u": label_u, "v": label_v}
-            yield mismatch(indices, -pair(j, i), pair(i, j), format_element, leg="bracket")
+            yield mismatch(indices, -ad[j](i), ad[i](j), format_element, leg="bracket")
             u, v = ExtElement.basis(i), ExtElement.basis(j)
             yield mismatch(indices,
                            bilinear_extend(base.bracket_pair, proj(u), proj(v), FreeVector.zero()),

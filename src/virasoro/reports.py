@@ -89,15 +89,7 @@ def mismatch(indices: dict, expected, actual, render=str, **extra) -> dict | Non
     return counterexample(indices, expected=render(expected), actual=render(actual), **extra)
 
 
-def counterexample(indices: dict, expected: str, actual: str,
-                   input_text: str | None = None, **extra) -> dict:
+def counterexample(indices: dict, expected: str, actual: str, **extra) -> dict:
     """Counterexample record with every value in exact text form."""
-    record = {
-        "indices": {key: str(value) for key, value in indices.items()},
-        "expected": expected,
-        "actual": actual,
-    }
-    if input_text is not None:
-        record["input"] = input_text
-    record.update(extra)
-    return record
+    return {"indices": {key: str(value) for key, value in indices.items()},
+            "expected": expected, "actual": actual, **extra}

@@ -5,8 +5,9 @@ module up to a level bound, or the indices of a window) for each index record.
 The identity maps a record's indices to its two sides, each a list of chain
 terms (coeff, (f_1, ..., f_k)) standing for the operator sum of coeff *
 f_k...f_1, every f a cached basis column (see `core.chain_tables`).  `plan`
-marks a record decided only if its formal sum lhs - rhs is nonzero and neither
-an earlier record's sum nor its negation, as the antisymmetric [L(n), L(m)] and
+writes a record's formal sum lhs - rhs as the set of its nonzero (chain, coeff)
+terms and marks the record decided only if that set is nonempty and neither an
+earlier record's set nor its negation, as the antisymmetric [L(n), L(m)] and
 [J(k), J(l)] repeat each defect negated: equal sums give equal tables, so every
 other record holds unless an earlier one has failed.  `decide_record` decides a
 record in one pass: it applies lhs - rhs to every start into the start's own
@@ -60,7 +61,7 @@ def module_counterexample(unit: ModuleVector, target: ModuleVector, indices: dic
     """The two sides applied to the basis vector partition of unit's module, into target's."""
     vector = type(unit).basis(partition, module=unit.module)
     lhs, rhs = (apply(side, vector, target) for side in sides)
-    return counterexample(indices, expected=str(rhs), actual=str(lhs), input_text=str(vector))
+    return counterexample(indices, expected=str(rhs), actual=str(lhs), input=str(vector))
 
 
 def decide_record(identity, starts, render, indices: dict) -> list:
@@ -78,18 +79,18 @@ def decide_record(identity, starts, render, indices: dict) -> list:
 
 
 def plan(identity, tasks: list[dict]) -> list[bool]:
-    """Per record, whether to decide it: its formal lhs - rhs is nonzero and new up to sign."""
-    seen, decided = {}, []
+    """Per record, whether to decide it: the set of nonzero (chain, coeff) terms of its formal
+    lhs - rhs is nonempty, and neither it nor its negation is an earlier record's set."""
+    seen, decided = set(), []
     for indices in tasks:
         lhs, rhs = identity(**indices)
         formal = {}
         for coeff, factors in lhs + [(-coeff, factors) for coeff, factors in rhs]:
-            formal[factors] = formal[factors] + coeff if factors in formal else coeff
-        formal = {factors: coeff for factors, coeff in formal.items() if coeff}
-        earlier = seen.setdefault(frozenset(formal), [])  # the sums on these chains so far
-        decided.append(bool(formal) and all(formal != other and any(
-            coeff != -other[factors] for factors, coeff in formal.items()) for other in earlier))
-        earlier.append(formal)
+            formal[factors] = formal.get(factors, 0) + coeff
+        terms = frozenset((factors, coeff) for factors, coeff in formal.items() if coeff)
+        negated = frozenset((factors, -coeff) for factors, coeff in terms)
+        decided.append(bool(terms) and terms not in seen and negated not in seen)
+        seen.add(terms)
     return decided
 
 

@@ -99,7 +99,7 @@ def verma_hw_check(c, h, max_index: int = 10) -> VerificationReport:
     cases = [("L(0)", l_action(0, v), v.h * v), ("C", central, v.c * v)]
     cases += [(f"L({n})", l_action(n, v), ZERO * v) for n in range(1, max_index + 1)]
     return first_counterexample("verma-highest-weight", parameters,
-                                (mismatch({"operator": label}, expected, actual, input_text=str(v))
+                                (mismatch({"operator": label}, expected, actual, input=str(v))
                                  for label, actual, expected in cases))
 
 

@@ -29,20 +29,20 @@ def format_vector(v: FreeVector) -> str:
     return " + ".join(f"{coeff}·l({n})" for n, coeff in v.items())
 
 
-def jacobi_identity(pair: Callable) -> Callable:
+def jacobi_identity(ad: Column) -> Callable:
     """(m, n) -> [e_m, [e_n, x]] + [e_n, [x, e_m]] + [x, [e_m, e_n]] against 0, in chain terms.
 
-    pair is the bracket of two basis indices.  With ad_a = [e_a, .] read off it through tables
-    the identity owns and R_a = [., e_a] read as R_a x = ad_x a, so each ordered bracket is built
-    once, the sides are ad_m ad_n x + ad_n R_m x + sum_p c_p R_p x, where
+    ad is the caller's bracket table, ad[a](b) = [e_a, e_b]: a `core.Column` of the `__getitem__`
+    of `core.Column`s, so each ordered bracket is built once.  With R_a = [., e_a] read as
+    R_a x = ad_x a, the sides are ad_m ad_n x + ad_n R_m x + sum_p c_p R_p x, where
     [e_m, e_n] = sum_p c_p e_p.  No antisymmetry is assumed.
     """
-    ad = Column(lambda a: Column(partial(pair, a)).__getitem__)
-    right = Column(lambda a: Column(lambda x: ad[x](a)).__getitem__)
+    def right(a):
+        return lambda x: ad[x](a)
 
     def sides(m, n):
-        return [(1, (ad[n], ad[m])), (1, (right[m], ad[n]))] + [
-            (c, (right[p],)) for p, c in ad[m](n).items()], []
+        return [(1, (ad[n], ad[m])), (1, (right(m), ad[n]))] + [
+            (c, (right(p),)) for p, c in ad[m](n).items()], []
     return sides
 
 
@@ -59,6 +59,7 @@ def jacobi_basis_sweep(max_index: int) -> VerificationReport:
         return counterexample(indices | {"k": k}, expected="0",
                               actual=format_vector(apply(sides[0], FreeVector.basis(k))))
 
-    return run_sweep("witt-jacobi", {"max_index": str(max_index)}, jacobi_identity(bracket_pair),
+    ad = Column(lambda a: Column(partial(bracket_pair, a)).__getitem__)
+    return run_sweep("witt-jacobi", {"max_index": str(max_index)}, jacobi_identity(ad),
                      index_grid(m=max_index, n=max_index), range(-max_index, max_index + 1),
                      render, 1)

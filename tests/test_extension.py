@@ -171,6 +171,27 @@ class TestExtensionPredicate:
             "indices": {"u": "1", "v": "2"}, "leg": "bracket",
             "expected": "-1·l(3) ⊕ 0·C", "actual": "5·l(3) ⊕ 0·C"}
 
+    def test_diagonal_defect_fails_the_alternating_check(self):
+        # [l(1), l(1)] = l(2), nothing else changed: [u, u] = 0 fails at u = l(1), the 17th
+        # instance after 12 centrality ones and u = C, l(-2), ..., l(0); antisymmetry sees it at 75
+        def pair(m, n):
+            return FreeVector.basis(2) if (m, n) == (1, 1) else witt.bracket_pair(m, n)
+
+        report = ext.check_extension_predicate(ext.BaseAlgebra("broken", pair), co.VIRASORO, 2)
+        assert report.to_text() == (
+            "FAIL extension-predicate base=broken cocycle=virasoro max_index=2 checked_count=17 "
+            "counterexample.actual='1·l(2) ⊕ 0·C' counterexample.expected='0 ⊕ 0·C' "
+            "counterexample.indices.u=1 counterexample.leg=bracket")
+
+    def test_section_off_the_projection_fails_the_section_leg(self, monkeypatch):
+        # every bracket holds; only proj(std_section(x)) = x reads the section
+        monkeypatch.setattr(ext, "std_section", lambda x: ext.ExtElement(2 * x))
+        report = ext.check_extension_predicate(ext.WITT, co.VIRASORO, 2)
+        assert report.to_text() == (
+            "FAIL extension-predicate base=witt cocycle=virasoro max_index=2 checked_count=307 "
+            "counterexample.actual='2·l(-2)' counterexample.expected='1·l(-2)' "
+            "counterexample.indices.n=-2 counterexample.leg=section")
+
     def test_non_cocycle_fails_jacobi_inside_bracket_leg(self):
         text = "window\t3\n-1\t1\t1\n-2\t2\t1\n-3\t3\t1\n"
         bad = co.parse_cocycle_table(text)

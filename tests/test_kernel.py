@@ -230,7 +230,7 @@ def _reference(identity, records, unit, max_level):
             checked += 1
             if lhs != rhs:
                 return "fail", checked, counterexample(indices, expected=str(rhs),
-                                                       actual=str(lhs), input_text=str(v))
+                                                       actual=str(lhs), input=str(v))
     return "pass", checked, None
 
 

@@ -195,20 +195,16 @@ def reduce_cocycle(omega: CocycleOracle, window: int):
 
 
 def nontriviality_witness(omega: CocycleOracle, window: int):
-    """First pair 1 <= n1 < n2 <= window with mismatched antidiagonal ratios.
+    """First pair (1, n), 2 <= n <= window, with mismatched antidiagonal ratios.
 
     A coboundary forces omega(ln, l-n) = 2n * beta(l0), so the ratios
-    omega(n, -n)/(2n) of a trivial cocycle agree for all n.  Pairs are
-    searched by increasing n2, then increasing n1 < n2; None means every
-    ratio in the window is consistent.
+    omega(n, -n)/(2n) of a trivial cocycle agree for all n.  The first
+    mismatched pair n1 < n2 by increasing n2, then n1, is always (1, n2): no
+    earlier n2 had a mismatch, so every ratio before n2 equals the first one.
+    None means every ratio in the window is consistent.
     """
-    for n2 in range(2, window + 1):
-        ratio2 = omega(n2, -n2) / (2 * n2)
-        for n1 in range(1, n2):
-            ratio1 = omega(n1, -n1) / (2 * n1)
-            if ratio1 != ratio2:
-                return n1, n2
-    return None
+    first = omega(1, -1) / 2
+    return next(((1, n) for n in range(2, window + 1) if omega(n, -n) / (2 * n) != first), None)
 
 
 # ---------------------------------------------------------------------------

@@ -10,13 +10,12 @@ cocycle, and the abelian algebra of currents with the Heisenberg cocycle.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import partial
 from itertools import chain, product
 from math import lcm
 from typing import Callable, NamedTuple
 
 from . import witt
-from .cohomology import CocycleOracle, OneCochain, virasoro_cocycle
+from .cohomology import VIRASORO, CocycleOracle, OneCochain
 from .core import ONE, ZERO, Column, FreeVector, apply, as_scalar, bilinear_extend, format_scalar
 from .reports import VerificationReport, counterexample, first_counterexample, mismatch
 from .sweeps import decide_record
@@ -102,8 +101,10 @@ def format_element(u: ExtElement) -> str:
     return f"{witt.format_vector(u.body)} ⊕ {format_scalar(u.center)}·C"
 
 
-def _gen(n: int) -> ExtElement:
-    return std_section(FreeVector.basis(n))
+def _basis_brackets(base: BaseAlgebra, omega: CocycleOracle) -> Column:
+    """The table ad[i](j) = [e_i, e_j] of ext_bracket on basis elements, built on first read."""
+    return Column(lambda i: Column(lambda j: ext_bracket(
+        base, omega, ExtElement.basis(i), ExtElement.basis(j))).__getitem__)
 
 
 def check_virasoro_constants(max_index: int) -> VerificationReport:
@@ -116,28 +117,26 @@ def check_virasoro_constants(max_index: int) -> VerificationReport:
         return ExtElement(FreeVector.basis(m + n, m - n),
                           Fraction(m**3 - m, 12) if m + n == 0 else ZERO)
 
-    bracket = partial(ext_bracket, WITT, CocycleOracle(virasoro_cocycle, "virasoro"))
-    return _constants_check("virasoro-constants", bracket, closed_form, max_index)
+    return _constants_check("virasoro-constants", _basis_brackets(WITT, VIRASORO), closed_form,
+                            max_index)
 
 
 def check_heisenberg_constants(max_index: int) -> VerificationReport:
     """[J_k, J_l] = k delta_{k,-l} K and [K, J_k] = 0 for |k|, |l| <= max_index."""
-    return _constants_check("heisenberg-constants", partial(ext_bracket, ABELIAN, HEISENBERG),
+    return _constants_check("heisenberg-constants", _basis_brackets(ABELIAN, HEISENBERG),
                             lambda k, l: emb(k if k + l == 0 else 0), max_index)
 
 
-def _constants_check(check_name: str, bracket: Callable, closed_form: Callable,
+def _constants_check(check_name: str, ad: Column, closed_form: Callable,
                      max_index: int) -> VerificationReport:
-    """The bracket of each pair of basis generators against its closed form."""
+    """Each bracket ad[i](j) of the `_basis_brackets` table against its closed form:
+    [l(m), l(n)] in lexicographic order of (m, n), then [C, l(n)] and [l(n), C] for each n."""
     indices = range(-max_index, max_index + 1)
-    central = emb(ONE)
-    pairs = (mismatch({"m": m, "n": n}, closed_form(m, n), bracket(_gen(m), _gen(n)),
-                      format_element)
+    pairs = (mismatch({"m": m, "n": n}, closed_form(m, n), ad[(m,)]((n,)), format_element)
              for m, n in product(indices, repeat=2))
-    with_center = (mismatch({"left": label, "n": n}, emb(ZERO), bracket(left, right),
-                            format_element)
+    with_center = (mismatch({"left": label, "n": n}, emb(ZERO), ad[left](right), format_element)
                    for n in indices
-                   for left, right, label in ((central, _gen(n), "C"), (_gen(n), central, str(n))))
+                   for left, right, label in (((), (n,), "C"), ((n,), (), str(n))))
     return first_counterexample(check_name, {"max_index": str(max_index)},
                                 chain(pairs, with_center))
 
@@ -153,14 +152,15 @@ def check_extension_predicate(base: BaseAlgebra, omega: CocycleOracle,
             projecting it recovers the base bracket of the projections
             (checked on center-shifted pairs, so the centers are ignored);
       (iii) sections: proj(std_section(x)) = x and proj(emb(1)) = 0.
-    Each basis-pair bracket is computed once, in the table `ad` that every leg
-    but the projection reads.  The Jacobi leg decides only the ascending
-    triples u < v < w in the labeled order C, l(-W), ..., l(W), those of a
-    record (u, v) by one `sweeps.decide_record` pass over the w after v (see
-    `witt.jacobi_identity`); every other triple is counted as held.  That
-    is exact: once the window bracket is alternating and antisymmetric, the
-    defect, bilinear in the outer brackets, is 0 on a triple with a repeat and
-    is ± that of its ascending permutation, which comes earlier in the stream.
+    Each basis-pair bracket is computed once, in the `_basis_brackets` table
+    `ad` that every leg but the projection reads.  The Jacobi leg decides only
+    the ascending triples u < v < w in the labeled order C, l(-W), ..., l(W),
+    those of a record (u, v) by one `sweeps.decide_record` pass over the w
+    after v (see `witt.jacobi_identity`); every other triple is counted as
+    held.  That is exact: once the window bracket is alternating and
+    antisymmetric, the defect, bilinear in the outer brackets, is 0 on a triple
+    with a repeat and is ± that of its ascending permutation, which comes
+    earlier in the stream.
     Antisymmetry of the outer brackets [x, l(s)], |s| <= 2W, is not used.
     """
     parameters = {"max_index": str(max_index), "base": base.name,
@@ -168,8 +168,7 @@ def check_extension_predicate(base: BaseAlgebra, omega: CocycleOracle,
     central, zero = emb(ONE), emb(ZERO)
     # the window basis, C and l(n), in order: basis index -> label
     name = {(): "C"} | {(n,): str(n) for n in range(-max_index, max_index + 1)}
-    ad = Column(lambda i: Column(lambda j: ext_bracket(
-        base, omega, ExtElement.basis(i), ExtElement.basis(j))).__getitem__)
+    ad = _basis_brackets(base, omega)
     jacobi = witt.jacobi_identity(ad)
 
     def jacobi_failure(indices, k, sides):

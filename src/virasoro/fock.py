@@ -163,21 +163,13 @@ def _normal_pair_commutator(alpha, n, m, k):
              (k * (n + k) * indicator, ())])
 
 
-def check_normal_pair_commutator(n: int, m: int, k: int, max_level: int,
-                                 alpha) -> VerificationReport:
-    """[L(n), :J(m-k)J(k):] expanded against its closed form, one index triple.
+def sweep_normal_pair(max_index: int, max_k: int, max_level: int, alpha,
+                      jobs: int = 1) -> VerificationReport:
+    """[L(n), :J(m-k)J(k):] against its closed form, |n|, |m| <= max_index, |k| <= max_k.
 
     The closed form is -k :J(m-k)J(n+k): - (m-k) :J(n+m-k)J(k): plus the
     central term k(n+k) delta_{n+m,0} (1_{0<=k<-n} - 1_{-n<=k<0}).
     """
-    return module_sweep("normal-pair-commutator", {"n": str(n), "m": str(m), "k": str(k)},
-                        _normal_pair_commutator, [{"n": n, "m": m, "k": k}], max_level,
-                        vacuum(alpha), 1)
-
-
-def sweep_normal_pair(max_index: int, max_k: int, max_level: int, alpha,
-                      jobs: int = 1) -> VerificationReport:
-    """check_normal_pair_commutator over |n|, |m| <= max_index, |k| <= max_k."""
     return module_sweep("normal-pair-commutator", dict(max_index=str(max_index), max_k=str(max_k)),
                         _normal_pair_commutator, index_grid(n=max_index, m=max_index, k=max_k),
                         max_level, vacuum(alpha), jobs)

@@ -254,6 +254,15 @@ class TestReduce:
             co.reduce_cocycle(co.VIRASORO, 1)
 
 
+def witness_reference(omega, window):
+    """The first pair n1 < n2, by increasing n2 and then n1, whose ratios omega(n, -n)/(2n) differ."""
+    for n2 in range(2, window + 1):
+        for n1 in range(1, n2):
+            if omega(n1, -n1) / (2 * n1) != omega(n2, -n2) / (2 * n2):
+                return n1, n2
+    return None
+
+
 class TestWitness:
     def test_virasoro_witness(self):
         assert co.nontriviality_witness(co.VIRASORO, 8) == (1, 2)
@@ -271,6 +280,21 @@ class TestWitness:
         else:
             # ratio(n) = r0 (n^2 - 1)/24 + beta(0) already splits at n = 2
             assert witness == (1, 2)
+
+    @pytest.mark.parametrize("s", [3, 6])
+    def test_witness_past_the_second_ratio(self, s):
+        # the coboundary's ratios are all beta(0) = 1/3 (beta(2) is off the antidiagonal);
+        # the added pairing moves the ratio at n = s alone
+        omega = (co.coboundary(co.OneCochain(6, {0: Fraction(1, 3), 2: -1}))
+                 + co.CocycleOracle(lambda m, n: 1 if (m, n) == (-s, s) else 0))
+        assert co.nontriviality_witness(omega, 6) == (1, s)
+
+    @given(st.integers(0, 8), st.lists(st.sampled_from([0, Fraction(1, 2), 1]), max_size=8))
+    def test_matches_the_pairwise_scan(self, window, ratios):
+        # omega(n, -n) = 2n * ratios[n - 1] on the antidiagonal, 0 elsewhere
+        omega = co.CocycleOracle(lambda m, n: -2 * n * ratios[n - 1]
+                                 if m == -n and n <= len(ratios) else 0)
+        assert co.nontriviality_witness(omega, window) == witness_reference(omega, window)
 
     def test_window_one_has_no_pairs(self):
         assert co.nontriviality_witness(co.VIRASORO, 1) is None

@@ -16,6 +16,13 @@ def vir_bracket(u, v):
     return ext.ext_bracket(ext.WITT, co.VIRASORO, u, v)
 
 
+def read_the_right_center(monkeypatch):
+    """Patch ext_bracket to add center(v) * body(u): of the basis brackets, only [l(n), C] moves."""
+    original = ext.ext_bracket
+    monkeypatch.setattr(ext, "ext_bracket", lambda base, omega, u, v: (
+        original(base, omega, u, v) + ext.std_section(v.center * u.body)))
+
+
 class TestHeisenbergCocycle:
     @pytest.mark.parametrize("k", range(1, 6))
     def test_antidiagonal(self, k):
@@ -72,13 +79,14 @@ class TestExtBracket:
         (1, -1, Fraction(0)),
     ])
     def test_virasoro_relations(self, m, n, central):
-        value = vir_bracket(ext._gen(m), ext._gen(n))
+        value = vir_bracket(ext.std_section(FreeVector.basis(m)),
+                            ext.std_section(FreeVector.basis(n)))
         assert value.body == FreeVector.basis(m + n, m - n)
         assert value.center == central
 
     def test_heisenberg_relations(self):
-        gen = ext._gen
-        value = ext.ext_bracket(ext.ABELIAN, ext.HEISENBERG, gen(2), gen(-2))
+        value = ext.ext_bracket(ext.ABELIAN, ext.HEISENBERG, ext.std_section(FreeVector.basis(2)),
+                                ext.std_section(FreeVector.basis(-2)))
         assert value.body.is_zero()
         assert value.center == 2
 
@@ -124,7 +132,8 @@ class TestStructureConstants:
     # Each defect below is in the extension the check brackets with; the
     # closed forms are written out in the check, so it must see the defect.
     @pytest.mark.parametrize("name,value,check,expected,actual", [
-        ("virasoro_cocycle", lambda m, n: Fraction(m**3 - m, 24) if m + n == 0 else 0,
+        ("VIRASORO", co.CocycleOracle(lambda m, n: Fraction(m**3 - m, 24) if m + n == 0 else 0,
+                                      "halved"),
          ext.check_virasoro_constants, "-8·l(0) ⊕ -5·C", "-8·l(0) ⊕ -5/2·C"),
         ("HEISENBERG", co.CocycleOracle(lambda k, l: Fraction(0), "zero"),
          ext.check_heisenberg_constants, "0 ⊕ -4·C", "0 ⊕ 0·C"),
@@ -136,6 +145,16 @@ class TestStructureConstants:
         assert report.checked_count == 9
         assert report.counterexample == {"indices": {"m": "-4", "n": "4"},
                                          "expected": expected, "actual": actual}
+
+    @pytest.mark.parametrize("check", [ext.check_virasoro_constants,
+                                       ext.check_heisenberg_constants])
+    def test_right_hand_center_fails_the_center_row(self, monkeypatch, check):
+        # 25 generator pairs and [C, l(-2)] hold; [l(-2), C] is the first to read the C on the right
+        read_the_right_center(monkeypatch)
+        report = check(2)
+        assert report.checked_count == 27
+        assert report.counterexample == {"indices": {"left": "-2", "n": "-2"},
+                                         "expected": "0 ⊕ 0·C", "actual": "1·l(-2) ⊕ 0·C"}
 
     def test_flipped_witt_bracket_fails(self, monkeypatch):
         flipped = ext.BaseAlgebra("witt", lambda m, n: FreeVector.basis(m + n, n - m))
@@ -170,6 +189,16 @@ class TestExtensionPredicate:
         assert report.counterexample == {
             "indices": {"u": "1", "v": "2"}, "leg": "bracket",
             "expected": "-1·l(3) ⊕ 0·C", "actual": "5·l(3) ⊕ 0·C"}
+
+    def test_right_hand_center_fails_the_centrality_leg(self, monkeypatch):
+        # [C, C], [C, C] and [C, l(-2)] hold; [l(-2), C], the 4th instance, reads the right center
+        read_the_right_center(monkeypatch)
+        report = ext.check_extension_predicate(ext.WITT, co.VIRASORO, 2)
+        assert report.to_text() == (
+            "FAIL extension-predicate base=witt cocycle=virasoro max_index=2 checked_count=4 "
+            "counterexample.actual='1·l(-2) ⊕ 0·C' counterexample.expected='0 ⊕ 0·C' "
+            "counterexample.indices.left=-2 counterexample.indices.u=-2 "
+            "counterexample.leg=centrality")
 
     def test_diagonal_defect_fails_the_alternating_check(self):
         # [l(1), l(1)] = l(2), nothing else changed: [u, u] = 0 fails at u = l(1), the 17th
@@ -305,7 +334,7 @@ class TestJacobiOrderWithinRecord:
         def bracket(x, y):
             return ext.ext_bracket(broken, co.VIRASORO, x, y)
 
-        u, v, w = map(ext._gen, (-2, -1, 2))
+        u, v, w = (ext.std_section(FreeVector.basis(n)) for n in (-2, -1, 2))
         assert bracket(u, bracket(v, w)) + bracket(v, bracket(w, u)) + bracket(w, bracket(u, v))
         self.check(broken, co.VIRASORO, (
             "FAIL extension-predicate base=broken cocycle=virasoro max_index=2 checked_count=142 "
@@ -387,7 +416,7 @@ class TestTwist:
         # running the same identity with the two cocycles exchanged must fail
         beta = co.OneCochain(1, {0: Fraction(1)})
         shifted = co.VIRASORO + co.coboundary(beta)
-        u, v = ext._gen(1), ext._gen(-1)
+        u, v = ext.std_section(FreeVector.basis(1)), ext.std_section(FreeVector.basis(-1))
         lhs = ext.ext_bracket(ext.WITT, shifted,
                               ext.twist_by_coboundary(beta, u),
                               ext.twist_by_coboundary(beta, v))

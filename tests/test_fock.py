@@ -120,12 +120,6 @@ class TestNormalPair:
         v = fock.basis(alpha, partition)
         assert fock.normal_pair(k, l, v) == fock.normal_pair(l, k, v)
 
-    def test_single_commutator_instance(self):
-        report = fock.check_normal_pair_commutator(2, -2, 1, 4, Fraction(1, 2))
-        assert report.status == "pass"
-        assert report.parameters == {"n": "2", "m": "-2", "k": "1", "max_level": "4",
-                                     "alpha": "1/2"}
-
     def test_central_term_appears_on_vacuum(self):
         # at n + m = 0 the commutator picks up k(n+k) with sign from the
         # indicator bracket; for (n, m, k) = (-2, 2, 1) that is -1

@@ -17,8 +17,7 @@ from typing import Callable, Iterable, Mapping
 
 from .core import (ZERO, FreeVector, ScalarFormatError, as_scalar, format_scalar, parse_integer,
                    parse_scalar)
-from .reports import (VerificationReport, counterexample, first_counterexample, mismatch,
-                      sweep_report)
+from .reports import VerificationReport, counterexample, first_counterexample, mismatch
 
 
 class TableFormatError(ValueError):
@@ -152,22 +151,24 @@ def check_cocycle_identity(omega: CocycleOracle, window: int) -> VerificationRep
                 if defect:
                     found = counterexample({"n": n, "m": m, "k": k}, expected="0",
                                            actual=format_scalar(Fraction(defect, table._den)))
-                    rank = ((n + window) * side + m + window) * side + k + window + 1
-                    return sweep_report("cocycle-identity", parameters, rank, found)
-    return sweep_report("cocycle-identity", parameters, side ** 3)
+                    before = ((n + window) * side + m + window) * side + k + window
+                    return first_counterexample("cocycle-identity", parameters, [before, found])
+    return first_counterexample("cocycle-identity", parameters, [side ** 3])
 
 
 def reduce_cocycle(omega: CocycleOracle, window: int):
     """Split a window-verified cocycle as r * virasoro + coboundary.
 
     Returns (beta, r, residual_report).  The correcting functional beta is
-    chosen so that (omega + d beta)(l0, .) vanishes: beta(l0) normalizes the
-    (1, -1) value and beta(ln) = omega(l0, ln)/n kills the rest of the l0
-    row.  The multiplier r is then fixed by the corrected value at (2, -2),
-    and the residual sweep verifies omega + d beta = r * virasoro on every
-    pair of the window.  Both sides are antisymmetric, so the first failing
-    pair in lexicographic order has m < n and only those pairs are compared;
-    every other pair of the (2W+1)^2 counts as holding.
+    chosen so that (omega + d beta)(l0, .) vanishes on 0 < |n| <= 2W, the
+    index sums of the window pairs: beta(l0) normalizes the (1, -1) value and
+    beta(ln) = omega(l0, ln)/n kills the rest of that l0 row.  beta's window
+    is W when it vanishes past W, else 2W.  The multiplier r is then fixed by
+    the corrected value at (2, -2), and the residual sweep verifies
+    omega + d beta = r * virasoro on every pair of the window.  Both sides are
+    antisymmetric, so the first failing pair in lexicographic order has m < n
+    and only those pairs are compared; every other pair of the (2W+1)^2 counts
+    as holding.
 
     A cocycle-identity failure on the window is a rejected input
     (CocycleIdentityError), not a failing report.
@@ -178,20 +179,17 @@ def reduce_cocycle(omega: CocycleOracle, window: int):
     if not precondition.passed():
         raise CocycleIdentityError(precondition)
 
-    values = {0: -omega(1, -1) / 2}
-    for n in range(1, window + 1):
-        values[n] = omega(0, n) / n
-        values[-n] = omega(0, -n) / -n
-    beta = OneCochain(window, values)
-
-    # (omega + coboundary(beta))(m, n) = omega(m, n) + (m - n) * beta(m + n), read inline.
-    r = 2 * (omega(2, -2) + 4 * beta.value(0))
+    values = {n: omega(0, n) / n for n in range(-2 * window, 2 * window + 1) if n}
+    values[0] = -omega(1, -1) / 2
+    wide = any(value for n, value in values.items() if abs(n) > window)
+    beta = OneCochain(2 * window if wide else window, values)
+    corrected = omega + coboundary(beta)
+    r = 2 * corrected(2, -2)  # virasoro_cocycle(2, -2) = 1/2
 
     parameters = {"window": str(window), "cocycle": omega.description, "r": format_scalar(r)}
     return beta, r, first_counterexample("cocycle-reduction-residual", parameters, (
-        mismatch({"m": m, "n": n}, r * virasoro_cocycle(m, n),
-                 omega(m, n) + (m - n) * beta.value(m + n), format_scalar) if m < n else None
-        for m, n in product(range(-window, window + 1), repeat=2)))
+        mismatch({"m": m, "n": n}, r * virasoro_cocycle(m, n), corrected(m, n), format_scalar)
+        if m < n else None for m, n in product(range(-window, window + 1), repeat=2)))
 
 
 def nontriviality_witness(omega: CocycleOracle, window: int):
@@ -274,8 +272,14 @@ def parse_cocycle_table(text: str) -> CocycleOracle:
 
 
 def load_cocycle_table(path) -> CocycleOracle:
-    with open(path, encoding="utf-8") as file:
-        return parse_cocycle_table(file.read())
+    with open(path, "rb") as file:
+        data = file.read()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        lineno = data.count(b"\n", 0, exc.start) + 1
+        raise TableFormatError(f"line {lineno}: not UTF-8 text") from None
+    return parse_cocycle_table(text)
 
 
 def dump_cocycle_table(omega: CocycleOracle, window: int) -> str:

@@ -31,17 +31,20 @@ class ScalarFormatError(ValueError):
     """Raised for text that is not a valid exact rational."""
 
 
-def _normalized(text: str, pattern: re.Pattern, kind: str) -> str:
-    """text without surrounding whitespace and with U+2212 read as "-", if it matches."""
+def _parsed(convert: Callable[[str], object], text: str, pattern: re.Pattern, kind: str):
+    """convert(text stripped, U+2212 read as "-") if it matches and int() takes its digits."""
     normalized = text.strip().replace("−", "-")
     if not pattern.fullmatch(normalized):
         raise ScalarFormatError(f"invalid {kind} {text!r}")
-    return normalized
+    try:
+        return convert(normalized)
+    except ValueError:
+        raise ScalarFormatError(f"invalid {kind} {text!r}: too many digits") from None
 
 
 def parse_integer(text: str) -> int:
     """Parse a decimal integer; a leading ASCII hyphen or U+2212 minus is accepted."""
-    return int(_normalized(text, _INTEGER_RE, "integer"))
+    return _parsed(int, text, _INTEGER_RE, "integer")
 
 
 def parse_scalar(text: str) -> Fraction:
@@ -51,7 +54,7 @@ def parse_scalar(text: str) -> Fraction:
     denominator is rejected.
     """
     try:
-        return Fraction(_normalized(text, _SCALAR_RE, "scalar"))
+        return _parsed(Fraction, text, _SCALAR_RE, "scalar")
     except ZeroDivisionError:
         raise ScalarFormatError(f"invalid scalar {text!r}: zero denominator") from None
 

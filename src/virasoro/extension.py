@@ -197,7 +197,7 @@ def check_extension_predicate(base: BaseAlgebra, omega: CocycleOracle,
                            witt.format_vector, leg="bracket")
         basis = list(name)  # only ascending triples are decided (see the docstring)
         for (a, i), (b, j) in product(enumerate(basis), repeat=2):
-            yield from [None] * (b + 1 if a < b else len(basis))
+            yield b + 1 if a < b else len(basis)
             if a < b:
                 yield from decide_record(jacobi, basis[b + 1:], jacobi_failure, {"m": i, "n": j})
 

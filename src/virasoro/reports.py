@@ -60,26 +60,20 @@ def _flatten(record: dict, prefix: str = ""):
 def first_counterexample(check_name: str, parameters: dict, outcomes) -> VerificationReport:
     """The report of a sweep whose instances yield their outcomes in canonical order.
 
-    Each outcome is None for an instance that holds, or its counterexample
-    record.  Instances are counted up to the first counterexample, where the
-    sweep stops: outcomes is consumed lazily and never past that point.
+    Each outcome is None for one instance that holds, an int n for n instances
+    that hold, or the counterexample record of an instance that fails.
+    Instances are counted up to the first counterexample, where the sweep
+    stops: outcomes is consumed lazily and never past that point.
     """
-    checked, found = 0, None
-    for checked, found in enumerate(outcomes, start=1):
-        if found is not None:
-            break
-    return sweep_report(check_name, parameters, checked, found)
-
-
-def sweep_report(check_name: str, parameters: dict, checked_count: int,
-                 found: dict | None = None) -> VerificationReport:
-    """The report of a sweep that examined checked_count instances in canonical order.
-
-    found is the counterexample record of the last instance examined, or
-    None when every instance held.
-    """
-    return VerificationReport(check_name, parameters, PASS if found is None else FAIL,
-                              checked_count, found)
+    checked = 0
+    for found in outcomes:
+        if found is None:
+            checked += 1
+        elif isinstance(found, int):
+            checked += found
+        else:
+            return VerificationReport(check_name, parameters, FAIL, checked + 1, found)
+    return VerificationReport(check_name, parameters, PASS, checked)
 
 
 def mismatch(indices: dict, expected, actual, render=str, **extra) -> dict | None:

@@ -11,17 +11,18 @@ earlier record's set nor its negation, as the antisymmetric [L(n), L(m)] and
 [J(k), J(l)] repeat each defect negated: equal sums give equal tables, so every
 other record holds unless an earlier one has failed.  `decide_record` decides a
 record in one pass: it applies lhs - rhs to every start into the start's own
-integer table, and returns None for each start that holds, up to and including
-the first start with a nonzero table, which is rendered as the counterexample.
+integer table, and returns [held, counterexample] for the first start with a
+nonzero table, after held starts that hold, or else [len(starts)].
 The plan and the serial decisions share one build of each record's sides; pool
 workers get the bare identity and rebuild a record's sides from its indices.
-`run_sweep` chains these outcomes and the held records' in canonical order
-(records, then starts) into `reports.first_counterexample`, which counts them
-up to the first counterexample.  A serial run decides no record after the
-failing one.  A parallel run cancels only the chunks still waiting in its pool:
-the workers' chunks and up to workers + 1 queued for them run on (16 to 36 of
-the 36 decided records of heisenberg 4/4 failing at record 4, on 2 workers),
-and the count ignores their outcomes.  Reports are identical for any job count.
+`run_sweep` chains these outcomes and each held record's count of starts in
+canonical order (records, then starts) into `reports.first_counterexample`,
+which counts them up to the first counterexample.  A serial run decides no
+record after the failing one.  A parallel run cancels only the chunks still
+waiting in its pool: the workers' chunks and up to workers + 1 queued for them
+run on (16 to 36 of the 36 decided records of heisenberg 4/4 failing at record
+4, on 2 workers), and the count ignores their outcomes.  Reports are identical
+for any job count.
 """
 
 from __future__ import annotations
@@ -67,15 +68,15 @@ def module_counterexample(unit: ModuleVector, target: ModuleVector, indices: dic
 def decide_record(identity, starts, render, indices: dict) -> list:
     """The outcomes of one record, from one chain_tables pass of lhs - rhs over the starts.
 
-    None for each start that holds, up to and including the first
-    counterexample, render(indices, start, sides).
+    [held, render(indices, start, sides)] when the first failing start comes after held
+    starts that hold, else [len(starts)].
     """
     sides = identity(**indices)
     tables, _ = chain_tables(starts, sides[0] + [(-coeff, factors) for coeff, factors in sides[1]])
     for held, (start, table) in enumerate(zip(starts, tables)):
         if any(table.values()):
-            return [None] * held + [render(indices, start, sides)]
-    return [None] * len(tables)
+            return [held, render(indices, start, sides)]
+    return [len(starts)]
 
 
 def plan(identity, tasks: list[dict]) -> list[bool]:
@@ -103,7 +104,7 @@ def run_sweep(check_name: str, parameters: dict, identity, tasks: list[dict], st
     more than one worker runs.
     """
     built = lru_cache(maxsize=None)(identity)  # for the plan and serial decisions; not picklable
-    decided, held = plan(built, tasks), [None] * len(starts)
+    decided, held = plan(built, tasks), [len(starts)]
     work = list(compress(tasks, decided))
 
     def merged(outcomes):  # the decided records' outcomes, each other record's as held

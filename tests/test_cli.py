@@ -14,6 +14,10 @@ from virasoro import cohomology as co
 
 VIRASORO_TABLE = DATA / "virasoro_window8.tsv"
 SIGN_TABLE = DATA / "sign_window3.tsv"
+# int() refuses more digits than sys.get_int_max_str_digits() (CPython 3.11, 3.10.7 and later)
+LIMITED_DIGITS = pytest.mark.skipif(
+    not 0 < getattr(sys, "get_int_max_str_digits", lambda: 0)() < 5000,
+    reason="int() converts 5,000 digits")
 
 
 def json_lines(result):
@@ -177,6 +181,33 @@ class TestVerifyErrors:
         assert result.exit_code == 2
         assert "invalid index" in result.output
 
+    # a byte that is not UTF-8, and a window or a value past int()'s default 4,300 digits
+    @pytest.mark.parametrize("table,message", [
+        pytest.param(b"window\t2\n-1\t1\t\xff\n", "line 2: not UTF-8 text", id="not-utf8"),
+        pytest.param(b"window\t" + b"1" * 5000 + b"\n", "line 1: invalid index",
+                     marks=LIMITED_DIGITS, id="long-window"),
+        pytest.param(b"window\t2\n-1\t1\t" + b"1" * 5000 + b"\n", "line 2: invalid scalar",
+                     marks=LIMITED_DIGITS, id="long-value"),
+    ])
+    @pytest.mark.parametrize("command,check_name", [(("verify", "cocycle"), "cocycle-identity"),
+                                                    (("reduce",), "cocycle-reduction"),
+                                                    (("nontrivial",), "nontriviality-witness")])
+    def test_unreadable_table_is_input_error(self, tmp_path, table, message, command,
+                                             check_name):
+        path = tmp_path / "table.tsv"
+        path.write_bytes(table)
+        result = invoke(*command, "--input", str(path), "--window", "2")
+        assert result.exit_code == 2
+        [line] = result.output.splitlines()
+        assert line.startswith(f"INPUT_ERROR {check_name} message=")
+        assert parse_text_line(line)["message"].startswith(message)
+
+    @LIMITED_DIGITS
+    def test_scalar_flag_past_the_digit_limit(self):
+        result = invoke("verify", "sugawara", "--alpha", "1" * 5000)
+        assert result.exit_code == 2
+        assert "invalid scalar" in result.output
+
     @pytest.mark.parametrize("command", [("verify", "cocycle"), ("reduce",)])
     def test_diagonal_table_row_is_input_error(self, tmp_path, command):
         # a table lists omega(m, n) for m < n only; a row m = n is rejected, not ignored
@@ -247,6 +278,17 @@ class TestReduce:
         assert residual["status"] == "pass"
         recovered = {n: value for n, value in head["beta"]["values"]}
         assert recovered == {0: "-1/2", 3: "2", -5: "-1/3"}
+
+    def test_coboundary_past_the_window_reduces(self, tmp_path):
+        # omega = d(delta_3) passes the window-2 identity; its l0 row reaches index 3 = 2W - 1
+        path = tmp_path / "coboundary.tsv"
+        path.write_text("window\t4\n-1\t4\t-5\n0\t3\t-3\n1\t2\t-1\n", encoding="utf-8")
+        assert invoke("verify", "cocycle", "--input", str(path), "--window", "2").exit_code == 0
+        result = invoke("reduce", "--input", str(path), "--window", "2", "--format", "json")
+        assert result.exit_code == 0, result.output
+        head, residual = json_lines(result)
+        assert (head["r"], head["beta"]) == ("0", {"window": 4, "values": [[3, "-1"]]})
+        assert (residual["status"], residual["checked_count"]) == ("pass", 25)
 
     def test_non_cocycle_rejected(self):
         result = invoke("reduce", "--input", str(SIGN_TABLE), "--window", "3",

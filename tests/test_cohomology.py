@@ -192,6 +192,27 @@ class TestReduce:
         assert beta == Fraction(-1) * beta0
         assert report.status == "pass"
 
+    @pytest.mark.parametrize("window", range(2, 7))
+    def test_coboundary_past_the_window(self, window):
+        # omega(0, n) for window < n <= 2 * window is read by window pairs summing to n
+        delta = co.OneCochain(window + 1, {window + 1: Fraction(1)})
+        beta, r, report = co.reduce_cocycle(co.VIRASORO + co.coboundary(delta), window)
+        assert r == 1
+        assert report.status == "pass"
+        assert beta == co.OneCochain(2 * window, {window + 1: Fraction(-1)})
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.data(), st.integers(2, 6), scalars)
+    def test_round_trip_with_cochain_on_twice_the_window(self, data, window, r0):
+        values = data.draw(one_cochain_values(window=2 * window))
+        beta0 = co.OneCochain(2 * window, values)
+        beta, r, report = co.reduce_cocycle(r0 * co.VIRASORO + co.coboundary(beta0), window)
+        assert r == r0
+        assert report.status == "pass"
+        assert beta.items() == (Fraction(-1) * beta0).items()
+        wide = any(abs(n) > window for n, _ in beta0.items())
+        assert beta.window == (2 * window if wide else window)
+
     def test_round_trip_through_table_file_format(self):
         rng = random.Random(20260819)
         for _ in range(5):

@@ -1,4 +1,5 @@
 import pickle
+import sys
 from collections import defaultdict
 from fractions import Fraction
 from itertools import combinations
@@ -11,7 +12,7 @@ from hypothesis import strategies as st
 from conftest import free_vectors, scalars
 from virasoro import fock, verma
 from virasoro.core import (FreeVector, ScalarFormatError, apply, as_scalar, bilinear_extend,
-                           format_scalar, parse_scalar, partitions_up_to)
+                           format_scalar, parse_integer, parse_scalar, partitions_up_to)
 
 ALPHA, C, H = Fraction(1, 2), Fraction(7, 3), Fraction(-1, 5)
 
@@ -40,6 +41,18 @@ class TestParseScalar:
     def test_zero_denominator_message(self):
         with pytest.raises(ScalarFormatError, match="zero denominator"):
             parse_scalar("1/0")
+
+    # int() refuses more digits than sys.get_int_max_str_digits() with a bare ValueError
+    @pytest.mark.skipif(not 0 < getattr(sys, "get_int_max_str_digits", lambda: 0)() < 5000,
+                        reason="int() converts 5,000 digits")
+    @pytest.mark.parametrize("text", ["1" * 5000, "-" + "1" * 5000, "1/" + "7" * 5000],
+                             ids=["integer", "negative", "denominator"])
+    def test_too_many_digits_is_a_format_error(self, text):
+        with pytest.raises(ScalarFormatError, match="too many digits"):
+            parse_scalar(text)
+        if "/" not in text:
+            with pytest.raises(ScalarFormatError, match="too many digits"):
+                parse_integer(text)
 
 
 class TestFormatScalar:

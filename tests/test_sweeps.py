@@ -47,6 +47,31 @@ def j_defect():
         yield
 
 
+def test_first_counterexample_counts_holding_outcomes_and_held_counts():
+    """None is one instance that holds, an int n is n of them, and a dict is the counterexample."""
+    def outcomes():
+        yield from [None, 3, 0, None, 2, {"indices": {}}]
+        raise AssertionError("read past the counterexample")
+
+    report = first_counterexample("toy", {}, outcomes())
+    assert (report.status, report.checked_count, report.counterexample) == ("fail", 8,
+                                                                            {"indices": {}})
+    assert first_counterexample("toy", {}, iter([4, 0, 5])) == ("toy", {}, "pass", 9, None)
+    assert first_counterexample("toy", {}, iter([])) == ("toy", {}, "pass", 0, None)
+
+
+@pytest.mark.parametrize("bad,outcomes", [(5, [0, {"start": 5}]), (7, [2, {"start": 7}]),
+                                          (9, [4])])
+def test_decide_record_counts_the_starts_before_the_failing_one(bad, outcomes):
+    def identity(bad):  # lhs - rhs is e_bad on the start bad and zero on every other
+        return [(1, (lambda a: FreeVector.basis(a, int(a == bad)),))], []
+
+    def render(indices, start, sides):
+        return {"start": start}
+
+    assert sweeps.decide_record(identity, [5, 6, 7, 8], render, {"bad": bad}) == outcomes
+
+
 FAILURES = [
     (broken_j, lambda jobs: fock.check_heisenberg_relations(2, 3, A, jobs),
      "FAIL heisenberg-relations alpha=1/2 max_index=2 max_level=3 checked_count=16 "

@@ -11,6 +11,7 @@ highest-weight modules share one vector type over a partition basis.
 from __future__ import annotations
 
 import re
+from decimal import Decimal
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
@@ -60,8 +61,8 @@ def parse_scalar(text: str) -> Fraction:
 
 
 def format_scalar(value: Fraction) -> str:
-    """Lowest terms, positive denominator, "/1" suppressed."""
-    return str(value)
+    """Lowest terms, positive denominator, "/1" suppressed, in full past int()'s digit limit."""
+    return f"{Decimal(value.numerator)}/{Decimal(value.denominator)}".removesuffix("/1")
 
 
 def as_scalar(value) -> Fraction:

@@ -5,24 +5,13 @@ module up to a level bound, or the indices of a window) for each index record.
 The identity maps a record's indices to its two sides, each a list of chain
 terms (coeff, (f_1, ..., f_k)) standing for the operator sum of coeff *
 f_k...f_1, every f a cached basis column (see `core.chain_tables`).  `plan`
-writes a record's formal sum lhs - rhs as the set of its nonzero (chain, coeff)
-terms and marks the record decided only if that set is nonempty and neither an
-earlier record's set nor its negation, as the antisymmetric [L(n), L(m)] and
-[J(k), J(l)] repeat each defect negated: equal sums give equal tables, so every
-other record holds unless an earlier one has failed.  `decide_record` decides a
-record in one pass: it applies lhs - rhs to every start into the start's own
-integer table, and returns [held, counterexample] for the first start with a
-nonzero table, after held starts that hold, or else [len(starts)].
-The plan and the serial decisions share one build of each record's sides; pool
-workers get the bare identity and rebuild a record's sides from its indices.
-`run_sweep` chains these outcomes and each held record's count of starts in
-canonical order (records, then starts) into `reports.first_counterexample`,
-which counts them up to the first counterexample.  A serial run decides no
-record after the failing one.  A parallel run cancels only the chunks still
-waiting in its pool: the workers' chunks and up to workers + 1 queued for them
-run on (16 to 36 of the 36 decided records of heisenberg 4/4 failing at record
-4, on 2 workers), and the count ignores their outcomes.  Reports are identical
-for any job count.
+picks the records whose formal defect is new and `decide_record` decides one in
+a single pass; `run_sweep` chains their outcomes and each other record's count
+of starts in canonical order (records, then starts) into
+`reports.first_counterexample`, which counts them up to the first
+counterexample, serially or, under --jobs, through `forked_outcomes`.  A serial
+run decides no record after the failing one, and reports are identical for any
+job count.
 """
 
 from __future__ import annotations
@@ -43,18 +32,17 @@ def index_grid(**bounds) -> list[dict]:
 
 
 def worker_count(jobs: int, task_count: int) -> int:
-    """Worker processes for a sweep: at most the request, the usable CPUs and the tasks.
+    """Processes for a sweep: at most the request, the usable CPUs and the tasks.
 
-    A process pool starts all of its workers at the first submission, so an
-    unclamped request would start that many processes.  The usable CPUs are
-    those this process may run on, which an affinity mask can make fewer
-    than the machine has.
+    Each process past the first is a child forked as the sweep starts; without os.fork
+    (Windows) a sweep runs serially.  The usable CPUs are those this process may run on,
+    which an affinity mask can make fewer than the machine has.
     """
     if hasattr(os, "sched_getaffinity"):
         cpus = len(os.sched_getaffinity(0))
     else:
         cpus = os.cpu_count() or 1
-    return min(jobs, cpus, task_count)
+    return min(jobs, cpus if hasattr(os, "fork") else 1, task_count)
 
 
 def module_counterexample(unit: ModuleVector, target: ModuleVector, indices: dict,
@@ -81,7 +69,11 @@ def decide_record(identity, starts, render, indices: dict) -> list:
 
 def plan(identity, tasks: list[dict]) -> list[bool]:
     """Per record, whether to decide it: the set of nonzero (chain, coeff) terms of its formal
-    lhs - rhs is nonempty, and neither it nor its negation is an earlier record's set."""
+    lhs - rhs is nonempty, and neither it nor its negation is an earlier record's set.
+
+    Equal sums give equal tables, so every other record holds unless an earlier one has
+    failed; the antisymmetric [L(n), L(m)] and [J(k), J(l)] repeat each defect negated.
+    """
     seen, decided = set(), []
     for indices in tasks:
         lhs, rhs = identity(**indices)
@@ -95,31 +87,84 @@ def plan(identity, tasks: list[dict]) -> list[bool]:
     return decided
 
 
+def forked_outcomes(decide, work: list, workers: int):
+    """decide(record) for each record of work in order, shared with workers - 1 forked children.
+
+    Child j decides work from n * j // workers up to the next child's start, front to back, up
+    to its first counterexample, and pipes each outcome as a length-prefixed marshal frame.
+    While the next outcome is unknown and no frame waits, this process decides the last record
+    neither known nor a live child's current one, and keeps its exception for that record's
+    turn.  Closing the generator kills and reaps the children.
+    """
+    import marshal
+    import select
+    from signal import SIGKILL
+    outcomes, children, poller = [None] * len(work), {}, select.poll()
+    bounds = [len(work) * j // workers for j in range(workers - 1)] + [len(work)]
+    try:
+        for start, end in zip(bounds, bounds[1:]):
+            read, write = os.pipe()
+            pid = os.fork()
+            if not pid:
+                try:
+                    for outcome in map(decide, work[start:end]):
+                        frame = marshal.dumps(outcome)
+                        os.write(write, len(frame).to_bytes(4, "big") + frame)
+                        if len(outcome) > 1:  # a counterexample: no later record counts
+                            break
+                finally:
+                    os._exit(0)
+            os.close(write)
+            children[read] = [start, b"", pid]  # the next record it sends, its unread bytes
+            poller.register(read, select.POLLIN)
+        top = len(work) - 1  # the records past top are known
+        for turn in range(len(work)):
+            while outcomes[turn] is None:
+                top = next(index for index in range(top, turn - 1, -1) if outcomes[index] is None)
+                current = {child[0] for child in children.values()}
+                back = next((index for index in range(top, turn - 1, -1)
+                             if outcomes[index] is None and index not in current), None)
+                ready = poller.poll(None if back is None else 0)
+                if not ready:
+                    try:
+                        outcomes[back] = decide(work[back])
+                    except Exception as exc:
+                        outcomes[back] = exc
+                for fd, _ in ready:
+                    child, chunk = children[fd], os.read(fd, 1 << 16)
+                    child[1] += chunk
+                    while len(child[1]) >= 4 + (size := int.from_bytes(child[1][:4], "big")):
+                        outcomes[child[0]] = marshal.loads(child[1][4:4 + size])
+                        child[0], child[1] = child[0] + 1, child[1][4 + size:]
+                    if not chunk:  # it has ended, and what it did not send is ours
+                        poller.unregister(fd)
+                        child[0] = -1
+            if isinstance(outcomes[turn], Exception):
+                raise outcomes[turn]
+            yield outcomes[turn]
+    finally:
+        for fd, (*_, pid) in children.items():
+            os.kill(pid, SIGKILL)
+            os.waitpid(pid, 0)
+            os.close(fd)
+
+
 def run_sweep(check_name: str, parameters: dict, identity, tasks: list[dict], starts,
               render, jobs: int) -> VerificationReport:
     """Check the sides identity(**indices) on every record and every start.
 
     render(indices, start, sides) gives the counterexample record of a start
-    where the sides differ.  The identity and render must be picklable when
-    more than one worker runs.
+    where the sides differ.  Forked children inherit the memoized sides, so
+    neither the identity nor render is ever pickled.
     """
-    built = lru_cache(maxsize=None)(identity)  # for the plan and serial decisions; not picklable
+    built = lru_cache(maxsize=None)(identity)  # one build per record, for the plan and decisions
     decided, held = plan(built, tasks), [len(starts)]
     work = list(compress(tasks, decided))
-
-    def merged(outcomes):  # the decided records' outcomes, each other record's as held
-        return chain.from_iterable(next(outcomes) if new else held for new in decided)
-
-    workers = worker_count(jobs, len(work))
-    decide = partial(decide_record, built if workers <= 1 else identity, starts, render)
-    if workers <= 1:
-        return first_counterexample(check_name, parameters, merged(map(decide, work)))
-    from concurrent.futures import ProcessPoolExecutor
-    # Closing the result iterator cancels the chunks still waiting in the pool; the chunks
-    # already taken or queued for the workers run on, and the count ignores their outcomes.
-    with ProcessPoolExecutor(max_workers=workers) as pool, closing(pool.map(
-            decide, work, chunksize=max(1, len(work) // (workers * 4)))) as records:
-        return first_counterexample(check_name, parameters, merged(records))
+    decide, workers = partial(decide_record, built, starts, render), worker_count(jobs, len(work))
+    with closing((decide(record) for record in work) if workers <= 1
+                 else forked_outcomes(decide, work, workers)) as outcomes:
+        return first_counterexample(check_name, parameters, chain.from_iterable(
+            next(outcomes) if new else held for new in decided))
 
 
 def module_sweep(check_name: str, parameters: dict, identity, tasks: list[dict], max_level: int,

@@ -1,5 +1,4 @@
 import io
-import multiprocessing
 import os
 import sys
 from contextlib import contextmanager, redirect_stderr, redirect_stdout
@@ -62,18 +61,14 @@ def reset_columns():
 def swapped(module, name: str, builder):
     """module.name replaced by builder for the block, with the column tables reset around it.
 
-    A pool worker sees the replacement only if it is forked from this process, so the "fork"
-    start method is set for the block and the previous one restored after it.
+    A sweep under jobs > 1 forks its children inside the block, so they inherit the replacement.
     """
-    method = multiprocessing.get_start_method(allow_none=True)
     reset_columns()
-    multiprocessing.set_start_method("fork", force=True)
     try:
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(module, name, builder)
             yield
     finally:
-        multiprocessing.set_start_method(method, force=True)
         reset_columns()
 
 

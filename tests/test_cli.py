@@ -4,6 +4,7 @@ import os
 import shlex
 import subprocess
 import sys
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -207,6 +208,24 @@ class TestVerifyErrors:
         result = invoke("verify", "sugawara", "--alpha", "1" * 5000)
         assert result.exit_code == 2
         assert "invalid scalar" in result.output
+
+    def test_defect_past_the_digit_limit_is_one_fail_line(self, tmp_path):
+        """Three values over 2,001-digit denominators give a defect of about 6,000 digits."""
+        dens = [10**2000 + 1, 10**2000 + 3, 10**2000 + 7]
+        table = tmp_path / "table.tsv"
+        table.write_text("window\t4\n" + "".join(
+            f"{m}\t{n}\t1/{den}\n" for (m, n), den in zip([(-2, 3), (-1, 2), (0, 1)], dens)),
+            encoding="utf-8")
+        args = ("verify", "cocycle", "--input", str(table), "--window", "2")
+        result = invoke(*args)
+        assert result.exit_code == 1
+        assert [line.split()[0] for line in result.output.splitlines()] == ["FAIL"]
+        record = json_lines(invoke(*args, "--format", "json"))[0]["counterexample"]
+        assert record["indices"] == {"n": "-2", "m": "1", "k": "2"}
+        # the cocycle defect at (n, m, k) = (-2, 1, 2) of this table, exactly
+        num, den = (int(Decimal(part)) for part in record["actual"].split("/"))
+        assert Fraction(num, den) == (Fraction(3, dens[1]) - Fraction(1, dens[0])
+                                      - Fraction(4, dens[2]))
 
     @pytest.mark.parametrize("command", [("verify", "cocycle"), ("reduce",)])
     def test_diagonal_table_row_is_input_error(self, tmp_path, command):
@@ -443,18 +462,33 @@ def command_env() -> dict:
     return env
 
 
-@pytest.mark.parametrize("family", FAMILIES)
-def test_serial_command_imports_only_what_it_uses(family):
-    # -X importtime writes a line to stderr as each import finishes; those after the line
-    # of `site` are the command's own, not the interpreter's start-up.
-    run = subprocess.run([sys.executable, "-X", "importtime", "-m", "virasoro.cli",
-                          *FAMILIES[family]], env=command_env(), capture_output=True, text=True)
+def command_imports(*args) -> set:
+    """The modules `vira ARGS` imports itself, with exit status 0.
+
+    -X importtime writes a line to stderr as each import finishes; those after the line
+    of `site` are the command's own, not the interpreter's start-up.
+    """
+    run = subprocess.run([sys.executable, "-X", "importtime", "-m", "virasoro.cli", *args],
+                         env=command_env(), capture_output=True, text=True)
     assert run.returncode == 0, run.stderr
     names = [line.rsplit("|", 1)[1].strip() for line in run.stderr.splitlines()
              if line.startswith("import time:")]
-    loaded = set(names[names.index("site") + 1:])
+    return set(names[names.index("site") + 1:])
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_serial_command_imports_only_what_it_uses(family):
+    loaded = command_imports(*FAMILIES[family])
     assert "virasoro.reports" in loaded
     assert loaded & UNUSED_MODULES == set()
+
+
+def test_parallel_command_loads_no_process_pool():
+    loaded = command_imports("verify", "sugawara", "--max-index", "2", "--max-level", "3",
+                             "--jobs", "2")
+    assert loaded & {"concurrent.futures", "multiprocessing"} == set()
+    if hasattr(os, "sched_getaffinity") and len(os.sched_getaffinity(0)) > 1:
+        assert "select" in loaded  # the sweep forked a child, and polled its pipe
 
 
 # The package modules each family loads beyond virasoro, core and reports: the modules its

@@ -1,6 +1,7 @@
 import pickle
 import sys
 from collections import defaultdict
+from decimal import Decimal
 from fractions import Fraction
 from itertools import combinations
 from math import gcd
@@ -69,6 +70,14 @@ class TestFormatScalar:
     @given(scalars)
     def test_round_trip(self, value):
         assert parse_scalar(format_scalar(value)) == value
+
+    @pytest.mark.parametrize("value", [Fraction(7**6000, 3**5000), Fraction(-7**6000),
+                                       Fraction(1, 3**10000)], ids=["ratio", "integer", "unit"])
+    def test_every_digit_past_the_conversion_limit(self, value):
+        """Rendering never stops at int()'s digit limit, which only parsing keeps."""
+        parts = format_scalar(value).split("/")
+        assert len(parts) == 1 + (value.denominator != 1)
+        assert Fraction(*(int(Decimal(part)) for part in parts)) == value
 
 
 class TestAsScalar:

@@ -6,7 +6,6 @@ the full first-counterexample records, and they must not depend on the job
 count.
 """
 
-import concurrent.futures
 import os
 from collections import Counter
 from fractions import Fraction
@@ -17,7 +16,7 @@ import pytest
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
-from conftest import corrupted, reset_columns
+from conftest import corrupted, reset_columns, swapped
 from virasoro import fock, sweeps, verma, witt
 from virasoro.core import Column, FreeVector, partitions_up_to
 from virasoro.reports import first_counterexample
@@ -219,36 +218,6 @@ def test_worker_count_reads_the_usable_cpus(monkeypatch):
     assert sweeps.worker_count(8, 81) == 1
 
 
-def test_parallel_sweep_stops_at_the_earliest_failing_record(j_defect, monkeypatch):
-    handed = []
-
-    class LazyExecutor:
-        """A pool that computes each record in this process when it is asked for."""
-
-        def __init__(self, max_workers):
-            pass
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc_info):
-            return False
-
-        def map(self, fn, work, chunksize=1):
-            for task in work:
-                handed.append(task)
-                yield fn(task)
-
-    serial = fock.check_heisenberg_relations(2, 3, A, jobs=1)
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", LazyExecutor)
-    assert fock.check_heisenberg_relations(2, 3, A, jobs=2) == serial
-    # the failing record (k, l) = (-2, 0) is the third of 25; the first, (-2, -2), is formally
-    # zero and is not handed to the pool
-    assert serial.counterexample["indices"] == {"k": "-2", "l": "0"}
-    assert len(handed) == 2
-
-
 def test_serial_sweep_decides_no_record_after_its_first_failing_one(j_defect, monkeypatch):
     decided = []
     decide = sweeps.decide_record
@@ -264,11 +233,126 @@ def test_serial_sweep_decides_no_record_after_its_first_failing_one(j_defect, mo
     assert decided == [{"k": -2, "l": -1}, {"k": -2, "l": 0}]
 
 
-def test_one_task_sweep_starts_no_pool(monkeypatch):
-    def no_pool(*args, **kwargs):
-        raise AssertionError("a one-task sweep must run serially")
+def test_worker_count_is_one_without_fork(monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    monkeypatch.delattr(os, "fork", raising=False)
+    assert sweeps.worker_count(8, 81) == 1
 
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
+
+@pytest.fixture
+def forks(monkeypatch):
+    """The children forked while the test runs, on three usable CPUs."""
+    pids, fork = [], os.fork
+
+    def counting():
+        pid = fork()
+        if pid:
+            pids.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
+    monkeypatch.setattr(os, "fork", counting)
+    return pids
+
+
+class Broken(Exception):
+    """A fault of the program, raised by a builder."""
+
+
+def toy_sweep(jobs, failing=None, raising=None, records=12):
+    """run_sweep over records 0..records - 1 on the starts 0..4, every record decided.
+
+    Record r compares two tables of its own, which differ at start 3 of the failing record; the
+    raising record's second table raises Broken when it builds start 3.  Its closures are never
+    pickled: forked children inherit them.
+    """
+    def build(r, start):
+        if r == raising and start == 3:
+            raise Broken(r)
+        return FreeVector.basis(start, 1 + (r == failing and start == 3))
+
+    tables = [(Column(FreeVector.basis).__getitem__, Column(partial(build, r)).__getitem__)
+              for r in range(records)]
+    return sweeps.run_sweep("toy", {}, lambda r: ([(1, (tables[r][0],))], [(1, (tables[r][1],))]),
+                            [{"r": r} for r in range(records)], range(5),
+                            lambda indices, start, _: indices | {"start": start}, jobs)
+
+
+@pytest.mark.parametrize("jobs", [2, 3])
+@pytest.mark.parametrize("failing", [None, 0, 1, 6, 10, 11])
+def test_forked_sweep_reports_as_the_serial_one(forks, failing, jobs):
+    serial = toy_sweep(1, failing)
+    assert forks == []
+    assert toy_sweep(jobs, failing) == serial
+    assert len(forks) == jobs - 1
+    if failing is None:
+        assert (serial.status, serial.checked_count) == ("pass", 60)
+    else:
+        assert serial.counterexample == {"r": failing, "start": 3}
+        assert serial.checked_count == 5 * failing + 4
+
+
+@pytest.mark.parametrize("jobs", [2, 3])
+@pytest.mark.parametrize("raising", [0, 6, 11])
+def test_forked_sweep_raises_a_builder_fault_as_the_serial_one(forks, raising, jobs):
+    with pytest.raises(Broken):
+        toy_sweep(1, raising=raising)
+    with pytest.raises(Broken):
+        toy_sweep(jobs, raising=raising)
+    assert len(forks) == jobs - 1
+
+
+@pytest.mark.parametrize("jobs", [2, 3])
+@pytest.mark.parametrize("failing,raising", [(2, 10), (6, 7), (0, 11)])
+def test_forked_sweep_reports_a_failure_before_a_fault(forks, failing, raising, jobs):
+    """The record after the failing one is never reached serially, so its fault is not raised."""
+    serial = toy_sweep(1, failing, raising)
+    assert serial.counterexample == {"r": failing, "start": 3}
+    assert toy_sweep(jobs, failing, raising) == serial
+
+
+def test_forked_child_stops_at_its_first_counterexample(forks, monkeypatch, tmp_path):
+    """The child decides record 0, which fails, and no later one; this process waits for it."""
+    log, decide = tmp_path / "decided", sweeps.decide_record
+
+    def logging(identity, starts, render, indices):
+        with open(log, "a", encoding="utf-8") as stream:
+            stream.write(f"{os.getpid()} {indices['r']}\n")
+        return decide(identity, starts, render, indices)
+
+    monkeypatch.setattr(sweeps, "decide_record", logging)
+    assert toy_sweep(2, failing=0).counterexample == {"r": 0, "start": 3}
+    lines = [line.split() for line in log.read_text(encoding="utf-8").splitlines()]
+    assert [record for pid, record in lines if int(pid) == forks[0]] == ["0"]
+    assert "0" not in [record for pid, record in lines if int(pid) == os.getpid()]
+
+
+def test_builder_fault_in_a_module_sweep_raises_under_jobs(forks):
+    original = fock._j_basis
+
+    def build(index, start, *parameters):
+        if index == 2:
+            raise Broken(index)
+        return original(index, start, *parameters)
+
+    with swapped(fock, "_j_basis", build):
+        for jobs in (1, 2):
+            with pytest.raises(Broken):
+                fock.check_heisenberg_relations(2, 3, A, jobs)
+    assert len(forks) == 1
+
+
+def test_forked_sweeps_leave_no_child(forks):
+    assert toy_sweep(2).status == "pass"
+    assert toy_sweep(2, failing=3).status == "fail"
+    with pytest.raises(Broken):
+        toy_sweep(2, raising=5)
+    assert len(forks) == 3
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_one_task_sweep_forks_no_child(forks):
     report = fock.sweep_normal_pair(0, 0, 2, A, jobs=10**6)
     assert report.status == "pass"
     assert report.checked_count == len(partitions_up_to(2))
@@ -276,6 +360,7 @@ def test_one_task_sweep_starts_no_pool(monkeypatch):
     report = fock.check_heisenberg_relations(0, 2, A, jobs=10**6)
     assert report.status == "pass"
     assert report.checked_count == len(partitions_up_to(2))
+    assert forks == []
 
 
 def test_serial_sweep_builds_each_record_once(monkeypatch):

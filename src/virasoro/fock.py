@@ -95,13 +95,22 @@ def normal_pair(k: int, l: int, v: FockVector) -> FockVector:
 
 @lru_cache(maxsize=None)
 def _sugawara_basis(n: int, partition: Partition, alpha: tuple[int, int]) -> FreeVector:
-    """1/2 * sum of :J(n-k)J(k): on one basis vector, multiplied out of the J columns."""
-    bound = partition[0] + 1 if partition else 1
-    # h, the higher index, acts first as in _pair_chain.  The terms k = h and k = n - h are
-    # one product, so it is taken with weight 2 * 1/2 = 1, or 1/2 where h = n - h.
+    """L(n) on one basis vector: the pair formula on the vacuum, any other from its tail.
+
+    With k the largest part, [L(n), J(-k)] = k J(n-k) gives
+    L(n)|k, rest> = J(-k) L(n)|rest> + k J(n-k)|rest>, and J(-k) relabels each key.
+    """
+    if partition:
+        k, rest = partition[0], partition[1:]
+        tail, current = _sugawara_basis(n, rest, alpha), _j_basis(n - k, rest, alpha)
+        return FreeVector._reduce(*_accumulate((
+            (1, tail._den, {insert_part(key, k): value for key, value in tail._num.items()}),
+            (k, current._den, current._num))))
+    # 1/2 * sum of :J(n-h)J(h): for h < 1.  h, the higher index, acts first as in _pair_chain;
+    # the terms h and n - h are one product, taken with weight 1, or 1/2 where h = n - h.
     return FreeVector._reduce(*_accumulate(
         (value, first._den * second._den * (1 + (2 * h == n)), second._num)
-        for h in range((n + 1) // 2, bound) for first in (_j_basis(h, partition, alpha),)
+        for h in range((n + 1) // 2, 1) for first in (_j_basis(h, (), alpha),)
         for middle, value in first._num.items() for second in (_j_basis(n - h, middle, alpha),)))
 
 

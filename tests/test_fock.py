@@ -169,8 +169,10 @@ class TestSugawara:
                - fock.sugawara_l(-2, fock.sugawara_l(2, vac)))
         assert lhs == (2 * a * a + HALF) * vac
 
+    # The tail recursion reaches one level per part: up to six parts and |n| <= 6.
     @settings(max_examples=40, deadline=None)
-    @given(st.integers(-3, 3), partitions, scalars)
+    @given(st.integers(-6, 6), st.lists(st.integers(1, 5), max_size=6).map(fock.as_partition),
+           scalars)
     def test_matches_wide_margin_oracle(self, n, partition, alpha):
         result = fock.sugawara_l(n, fock.basis(alpha, partition))
         assert dict(result.items()) == oracles.fock_sugawara(n, partition, alpha)
@@ -179,8 +181,12 @@ class TestSugawara:
         """J columns whose denominators do not divide 2b² still give exact L columns.
 
         With alpha = 2/3 every true column has a denominator dividing 2·3²;
-        the skewed J(k) adds 1/(5 + |k|) of the input, so the products carry
-        denominators 5, 6, 7, ... as well.
+        the skewed J(k) adds 1/(5 + |k|) of the input, so the factors carry
+        denominators 5, 6, 7, ... as well.  The skew breaks the Heisenberg
+        relations, so the columns are checked against the builder's own
+        rules: the pair formula on the vacuum, and on |k, rest⟩ the tail
+        recursion J(-k) L(n)|rest⟩ + k J(n-k)|rest⟩, whose J(-k) only
+        relabels and so is the true j_action.
         """
         original = fock._j_basis
 
@@ -190,15 +196,24 @@ class TestSugawara:
             return original(k, partition, alpha) + extra
 
         alpha = Fraction(2, 3)
+        vac = fock.vacuum(alpha)
         with swapped(fock, "_j_basis", skewed):
             for n in range(-2, 3):
-                for partition in partitions_up_to(3):
-                    v = fock.basis(alpha, partition)
-                    bound = fock.truncation_bound(v)
-                    expected = fock.FockVector(alpha, {})
-                    for k in range(n - bound + 1, bound):
-                        expected = expected + HALF * fock.normal_pair(n - k, k, v)
-                    assert fock.sugawara_l(n, v) == expected
+                expected = fock.FockVector(alpha, {})
+                for k in range(n, 1):
+                    expected = expected + HALF * fock.normal_pair(n - k, k, vac)
+                assert fock.sugawara_l(n, vac) == expected
+            columns = {(n, partition): fock.sugawara_l(n, fock.basis(alpha, partition))
+                       for n in range(-2, 3) for partition in partitions_up_to(3)}
+            currents = {(n, partition): fock.j_action(n - partition[0],
+                                                      fock.basis(alpha, partition[1:]))
+                        for n, partition in columns if partition}
+        for (n, partition), current in currents.items():
+            k, rest = partition[0], partition[1:]
+            expected = fock.j_action(-k, columns[n, rest]) + k * current
+            assert columns[n, partition] == expected
+        assert any(18 % value.denominator for column in columns.values()
+                   for _, value in column.items())
 
     # Denominators 1 to 7, two negative charges and the zero charge.
     @pytest.mark.parametrize("alpha", [Fraction(0), Fraction(3), Fraction(-5, 2), Fraction(2, 3),

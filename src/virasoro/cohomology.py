@@ -217,13 +217,6 @@ def _parse_index(token: str, lineno: int) -> int:
         raise TableFormatError(f"line {lineno}: invalid index {token!r}") from None
 
 
-def _parse_value(token: str, lineno: int) -> Fraction:
-    try:
-        return parse_scalar(token)
-    except ScalarFormatError as exc:
-        raise TableFormatError(f"line {lineno}: {exc}") from None
-
-
 def _read_table(text: str, *names: str) -> tuple[int, dict]:
     """The window and the {key: value} rows of a table whose rows are "names...<TAB>value".
 
@@ -247,7 +240,10 @@ def _read_table(text: str, *names: str) -> tuple[int, dict]:
         if len(fields) != len(names) + 1:
             raise TableFormatError(f"line {lineno}: expected '{layout}'")
         indices = [_parse_index(token, lineno) for token in fields[:-1]]
-        value = _parse_value(fields[-1], lineno)
+        try:
+            value = parse_scalar(fields[-1])
+        except ScalarFormatError as exc:
+            raise TableFormatError(f"line {lineno}: {exc}") from None
         key = tuple(indices) if len(indices) > 1 else indices[0]
         if indices != sorted(set(indices)):
             raise TableFormatError(f"line {lineno}: require {' < '.join(names)}, got {key}")

@@ -4,8 +4,8 @@ The module of charge alpha has one basis vector per partition: the partition
 (k_m >= ... >= k_1) stands for the monomial J(-k_m)...J(-k_1) applied to the
 vacuum.  Current operators J(k) act by inserting a part (k < 0), scaling by
 alpha (k = 0), or removing a part with a multiplicity factor (k > 0).  The
-quadratic generators L(n) are finite sums of normal-ordered current pairs;
-the truncation bound of a vector tells how far those sums have to reach.
+quadratic generators L(n) are finite sums of normal-ordered current pairs,
+multiplied out on the vacuum only; every other image follows from its tail.
 """
 
 from __future__ import annotations
@@ -95,9 +95,9 @@ def normal_pair(k: int, l: int, v: FockVector) -> FockVector:
 
 @lru_cache(maxsize=None)
 def _sugawara_basis(n: int, partition: Partition, alpha: tuple[int, int]) -> FreeVector:
-    """L(n) on one basis vector: the pair formula on the vacuum, any other from its tail.
+    """L(n) on one basis vector, from the pair formula on the vacuum, each pair {h, n - h} once.
 
-    With k the largest part, [L(n), J(-k)] = k J(n-k) gives
+    Any other from its tail: with k the largest part, [L(n), J(-k)] = k J(n-k) gives
     L(n)|k, rest> = J(-k) L(n)|rest> + k J(n-k)|rest>, and J(-k) relabels each key.
     """
     if partition:
@@ -106,12 +106,8 @@ def _sugawara_basis(n: int, partition: Partition, alpha: tuple[int, int]) -> Fre
         return FreeVector._reduce(*_accumulate((
             (1, tail._den, {insert_part(key, k): value for key, value in tail._num.items()}),
             (k, current._den, current._num))))
-    # 1/2 * sum of :J(n-h)J(h): for h < 1.  h, the higher index, acts first as in _pair_chain;
-    # the terms h and n - h are one product, taken with weight 1, or 1/2 where h = n - h.
-    return FreeVector._reduce(*_accumulate(
-        (value, first._den * second._den * (1 + (2 * h == n)), second._num)
-        for h in range((n + 1) // 2, 1) for first in (_j_basis(h, (), alpha),)
-        for middle, value in first._num.items() for second in (_j_basis(n - h, middle, alpha),)))
+    return apply([(Fraction(1, 1 + (2 * h == n)), _pair_chain(n - h, h, alpha))
+                  for h in range((n + 1) // 2, 1)], FreeVector.basis(()))
 
 
 def sugawara_column(n: int, alpha: tuple[int, int]):
@@ -128,14 +124,11 @@ def sugawara_l(n: int, v: FockVector) -> FockVector:
     return apply([(1, (sugawara_column(n, as_pair(v.alpha)),))], v)
 
 
-def _weighted_sum_defect(n: int) -> dict | None:
-    """sum_{0 <= l < n} (n - l) l against (n^3 - n)/6, the scalar behind [L(n), L(-n)]."""
-    return mismatch({"n": n}, Fraction(n**3 - n, 6), sum((n - l) * l for l in range(n)))
-
-
 def check_weighted_sum(max_n: int) -> VerificationReport:
-    return first_counterexample("weighted-sum-identity", {"max_n": str(max_n)},
-                                map(_weighted_sum_defect, range(max_n + 1)))
+    """sum_{0 <= l < n} (n - l) l against (n^3 - n)/6, the scalar behind [L(n), L(-n)]."""
+    return first_counterexample("weighted-sum-identity", {"max_n": str(max_n)}, (
+        mismatch({"n": n}, Fraction(n**3 - n, 6), sum((n - l) * l for l in range(n)))
+        for n in range(max_n + 1)))
 
 
 # Sweeps: each identity maps the charge's pair and the indices to its two sides as chain terms.

@@ -103,8 +103,13 @@ def forked_outcomes(decide, work: list, workers: int):
     bounds = [len(work) * j // workers for j in range(workers - 1)] + [len(work)]
     try:
         for start, end in zip(bounds, bounds[1:]):
-            read, write = os.pipe()
-            pid = os.fork()
+            pipe = ()
+            try:
+                read, write = pipe = os.pipe()
+                pid = os.fork()
+            except OSError:  # refused, as at a process limit: this process decides the rest
+                list(map(os.close, pipe))
+                break
             if not pid:
                 try:
                     for outcome in map(decide, work[start:end]):

@@ -42,23 +42,21 @@ def _act_basis(a: int, partition: Partition, c: tuple[int, int],
                h: tuple[int, int]) -> FreeVector:
     """L(a) applied to one ordered monomial, straightened back into the basis.
 
-    c and h are (numerator, denominator) pairs.  Empty monomial: positive
-    generators annihilate, L(0) is the h eigenvalue, negative ones start a
-    new monomial.  Otherwise L(a) either prepends canonically (a lowering
-    operator at least as large as the leading part) or is commuted past the
-    leading L(-p), which strictly shrinks the monomial every recursive call
-    takes as input.
+    c and h are (numerator, denominator) pairs.  A lowering operator at least
+    as large as the leading part (any one, on the empty monomial) prepends
+    canonically.  Otherwise, on the empty monomial, positive generators
+    annihilate and L(0) is the h eigenvalue; on any other, L(a) is commuted
+    past the leading L(-p), which strictly shrinks the monomial every
+    recursive call takes as input.
     """
+    if a < 0 and -a >= (partition[0] if partition else 0):
+        return FreeVector.basis((-a,) + partition)
     if not partition:
         if a > 0:
             return FreeVector.zero()
-        if a == 0:
-            return FreeVector.basis((), Fraction(*h))
-        return FreeVector.basis((-a,))
+        return FreeVector.basis((), Fraction(*h))
     p = partition[0]
     rest = partition[1:]
-    if a < 0 and -a >= p:
-        return FreeVector.basis((-a,) + partition)
     # L(a) L(-p) = L(-p) L(a) + (a + p) L(a - p) + delta_{a,p} (a^3 - a)/12 C
     moved = _act_basis(a, rest, c, h)
     den = moved._den

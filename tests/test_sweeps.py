@@ -6,6 +6,7 @@ the full first-counterexample records, and they must not depend on the job
 count.
 """
 
+import errno
 import os
 from collections import Counter
 from fractions import Fraction
@@ -346,6 +347,39 @@ def test_forked_sweeps_leave_no_child(forks):
     with pytest.raises(Broken):
         toy_sweep(2, raising=5)
     assert len(forks) == 3
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.parametrize("refused", ["fork", "pipe"])
+@pytest.mark.parametrize("failing,raising", [(None, None), (0, None), (6, None), (11, None),
+                                             (None, 6)])
+def test_refused_fork_leaves_the_unforked_records_to_this_process(forks, monkeypatch, refused,
+                                                                 failing, raising):
+    """The system refuses the second of two children: the first decides records 0..3, this
+    process every other one, and the report, fds and children are those of a serial run."""
+    if raising is None:
+        serial = toy_sweep(1, failing)
+    else:
+        with pytest.raises(Broken):
+            toy_sweep(1, raising=raising)
+    calls, call = [], getattr(os, refused)
+
+    def second_refused():
+        calls.append(refused)
+        if len(calls) == 2:
+            raise OSError(errno.EAGAIN, os.strerror(errno.EAGAIN))
+        return call()
+
+    monkeypatch.setattr(os, refused, second_refused)
+    fds = sorted(os.listdir("/proc/self/fd"))
+    if raising is None:
+        assert toy_sweep(3, failing) == serial
+    else:
+        with pytest.raises(Broken):
+            toy_sweep(3, raising=raising)
+    assert len(calls) == 2 and len(forks) == 1
+    assert sorted(os.listdir("/proc/self/fd")) == fds
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
 

@@ -128,6 +128,7 @@ class TestStraighteningDepth:
 
     def test_prepend_is_flat(self):
         assert _straightening_depth(-5, (3, 2)) == 1
+        assert _straightening_depth(-2, ()) == 1
 
     def test_bound_is_reached(self):
         # The wrapper sees the recursion: L(3) is moved past each lowering operator in turn.

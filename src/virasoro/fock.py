@@ -12,9 +12,9 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache, partial
+from math import gcd, lcm
 
-from .core import (ZERO, FreeVector, ModuleVector, Partition, _accumulate, apply, as_pair,
-                   as_scalar, column)
+from .core import ZERO, FreeVector, ModuleVector, Partition, apply, as_pair, as_scalar, column
 from .reports import VerificationReport, first_counterexample, mismatch
 from .sweeps import index_grid, module_sweep
 
@@ -54,14 +54,13 @@ def basis(alpha, partition) -> FockVector:
 
 @lru_cache(maxsize=None)
 def _j_basis(k: int, partition: Partition, alpha: tuple[int, int]) -> FreeVector:
+    """J(k) on one basis vector (see j_action), as one integer entry or none."""
     if k < 0:
-        return FreeVector.basis(insert_part(partition, -k))
+        return FreeVector._wrap({insert_part(partition, -k): 1})
     if k == 0:
-        return FreeVector.basis(partition, Fraction(*alpha))
+        return FreeVector._wrap({partition: alpha[0]} if alpha[0] else {}, alpha[1])
     multiplicity = partition.count(k)
-    if not multiplicity:
-        return FreeVector.zero()
-    return FreeVector.basis(remove_part(partition, k), multiplicity * k)
+    return FreeVector._wrap({remove_part(partition, k): multiplicity * k} if multiplicity else {})
 
 
 def j_column(k: int, alpha: tuple[int, int]):
@@ -103,9 +102,25 @@ def _sugawara_basis(n: int, partition: Partition, alpha: tuple[int, int]) -> Fre
     if partition:
         k, rest = partition[0], partition[1:]
         tail, current = _sugawara_basis(n, rest, alpha), _j_basis(n - k, rest, alpha)
-        return FreeVector._reduce(*_accumulate((
-            (1, tail._den, {insert_part(key, k): value for key, value in tail._num.items()}),
-            (k, current._den, current._num))))
+        den = lcm(tail._den, current._den)
+        scale, weight = den // tail._den, k * (den // current._den)
+        table = {}
+        for key, value in tail._num.items():
+            at = 0
+            while at < len(key) and key[at] > k:
+                at += 1
+            table[key[:at] + (k,) + key[at:]] = scale * value
+        size, divisor = len(table) + len(current._num), scale
+        for key, value in current._num.items():
+            value *= weight
+            table[key] = table.get(key, 0) + value
+            divisor = gcd(divisor, value)
+        # The tail is in lowest terms, so gcd(den, its relabelled numerators) is scale, and
+        # none is 0.  Unless an added key lands on a relabelled one, gcd(den, table) is then
+        # gcd(scale, added numerators), and the table needs no reduction when that is 1.
+        if len(table) == size and divisor == 1:
+            return FreeVector._wrap(table, den)
+        return FreeVector._reduce(table, den)
     return apply([(Fraction(1, 1 + (2 * h == n)), _pair_chain(n - h, h, alpha))
                   for h in range((n + 1) // 2, 1)], FreeVector.basis(()))
 

@@ -1,6 +1,7 @@
 from collections import defaultdict
 from fractions import Fraction
 from functools import lru_cache
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
@@ -8,10 +9,24 @@ from hypothesis import strategies as st
 
 import oracles
 from conftest import partitions, scalars, swapped
-from virasoro import fock
-from virasoro.core import FreeVector, partitions_of_level, partitions_up_to
+from virasoro import core, fock
+from virasoro.core import FreeVector, as_pair, partitions_of_level, partitions_up_to
 
 HALF = Fraction(1, 2)
+
+
+def skewed_j():
+    """A fresh J builder whose J(k) adds 1/(5 + |k|) of the input to the true image.
+
+    Its images have two entries and denominators that do not divide the charge's.
+    """
+    original = fock._j_basis
+
+    @lru_cache(maxsize=None)
+    def skewed(k, partition, alpha):
+        return original(k, partition, alpha) + FreeVector.basis(partition, Fraction(1, 5 + abs(k)))
+
+    return skewed
 
 
 class TestPartitions:
@@ -188,16 +203,9 @@ class TestSugawara:
         recursion J(-k) L(n)|rest⟩ + k J(n-k)|rest⟩, whose J(-k) only
         relabels and so is the true j_action.
         """
-        original = fock._j_basis
-
-        @lru_cache(maxsize=None)
-        def skewed(k, partition, alpha):
-            extra = FreeVector.basis(partition, Fraction(1, 5 + abs(k)))
-            return original(k, partition, alpha) + extra
-
         alpha = Fraction(2, 3)
         vac = fock.vacuum(alpha)
-        with swapped(fock, "_j_basis", skewed):
+        with swapped(fock, "_j_basis", skewed_j()):
             for n in range(-2, 3):
                 expected = fock.FockVector(alpha, {})
                 for k in range(n, 1):
@@ -214,6 +222,43 @@ class TestSugawara:
             assert columns[n, partition] == expected
         assert any(18 % value.denominator for column in columns.values()
                    for _, value in column.items())
+
+    @pytest.mark.parametrize("skew", [False, True], ids=["true J", "skewed J"])
+    @pytest.mark.parametrize("alpha", [Fraction(2, 3), Fraction(-5, 2), Fraction(6, 7)], ids=str)
+    def test_every_cached_column_is_in_lowest_terms(self, alpha, skew):
+        """After the four Fock sweeps at benchmark sizes, every image in the column tables
+        has gcd(_den, *_num.values()) == 1 and no zero numerator, as FreeVector requires.
+
+        The tail step reduces only where a key collides or a common factor is left; under
+        the skewed J (see skewed_j) the images it adds have two entries and other denominators.
+        """
+        with swapped(fock, "_j_basis", skewed_j() if skew else fock._j_basis):
+            fock.check_sugawara_commutator(6, 8, alpha)
+            fock.check_heisenberg_relations(8, 8, alpha)
+            fock.check_primary_field(6, 6, alpha)
+            fock.sweep_normal_pair(4, 4, 5, alpha)
+            images = [image for table in core._COLUMNS.values() for image in table.values()]
+        assert len(images) > 1000
+        assert [image for image in images
+                if gcd(image._den, *image._num.values()) != 1 or 0 in image._num.values()] == []
+
+    @pytest.mark.parametrize("alpha", [Fraction(0), Fraction(3), Fraction(-5, 2), Fraction(2, 3),
+                                       Fraction(6, 7)], ids=str)
+    def test_column_is_the_pair_formula_structurally(self, alpha):
+        """Each built column has the numerators and denominator of the reduced pair sum
+        1/2 * sum of :J(n-k)J(k): over n - N < k < N, N the truncation bound.
+
+        sugawara_l reduces through core.apply, so only the column itself shows a tail step
+        that left a common factor or a zero entry.
+        """
+        for n in range(-6, 7):
+            for partition in partitions_up_to(6):
+                v = fock.basis(alpha, partition)
+                bound = fock.truncation_bound(v)
+                expected = sum((HALF * fock.normal_pair(n - k, k, v)
+                                for k in range(n - bound + 1, bound)), fock.FockVector(alpha, {}))
+                image = fock._sugawara_basis(n, partition, as_pair(alpha))
+                assert (image._num, image._den) == (expected._num, expected._den), (n, partition)
 
     # Denominators 1 to 7, two negative charges and the zero charge.
     @pytest.mark.parametrize("alpha", [Fraction(0), Fraction(3), Fraction(-5, 2), Fraction(2, 3),

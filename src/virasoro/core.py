@@ -243,35 +243,47 @@ def column(build: Callable, index, *parameters) -> Callable:
     return _COLUMNS[build, index, parameters].__getitem__
 
 
-def chain_tables(starts: Iterable, terms: Iterable[tuple]) -> tuple[list[dict], int]:
+def _paths(prefix: tuple, starts: list, value: int, q: int) -> list:
+    """The paths (value * entries, q * dens, slot, key) from each start through prefix's columns."""
+    paths = [(value, q, slot, start) for slot, start in enumerate(starts)]
+    for f in prefix:
+        paths = [(value * entry, q * column._den, slot, key) for value, q, slot, start in paths
+                 for column in (f(start),) for key, entry in column._num.items()]
+    return paths
+
+
+def chain_tables(starts: Iterable, terms: Iterable[tuple],
+                 memo: dict | None = None) -> tuple[list[dict], int]:
     """Per start s, the table of sum of coeff * f_k(...f_1(e_s)) over (coeff, (f_1, ..., f_k)).
 
-    Each f maps a basis index to its image, a FreeVector (a cached column);
-    the empty chain is the identity, and a term with coefficient 0 is
-    skipped.  Every path through the columns carries the slot of its start,
-    and its scaled last column is added into that start's integer table.
-    The tables share one denominator, all rescaled when its lcm grows; as in
-    `_accumulate`, they are not reduced and may keep cancelled entries as 0.
+    Each f maps a basis index to its image, a FreeVector (a cached column); the empty chain is
+    the identity, and a term with coefficient 0 is skipped.  Every path through the columns
+    carries the slot of its start, and its scaled last column is added into that start's
+    integer table.  The tables share one denominator, all rescaled when its lcm grows; as in
+    `_accumulate`, they are not reduced and may keep cancelled entries as 0.  With a memo, a
+    dict the caller keeps for calls on the same starts, the paths through each prefix
+    f_1, ..., f_{k-1} are built once at coefficient 1, and a term's coefficient scales them at
+    its last column; without one it starts them.  The integers are the same.
     """
     starts = list(starts)
     tables, den = [{} for _ in starts], 1
     for coeff, chain in terms:
         if not coeff:
             continue
-        paths = [(coeff.numerator, coeff.denominator, slot, start)
-                 for slot, start in enumerate(starts)]
-        for f in chain[:-1]:
-            paths = [(value * entry, q * column._den, slot, key) for value, q, slot, start in paths
-                     for column in (f(start),) for key, entry in column._num.items()]
+        p, r = coeff.numerator, coeff.denominator
+        if memo is None:
+            paths, p, r = _paths(chain[:-1], starts, p, r), 1, 1
+        elif (paths := memo.get(chain[:-1])) is None:
+            paths = memo[chain[:-1]] = _paths(chain[:-1], starts, 1, 1)
         for value, q, slot, start in paths:
             column = chain[-1](start) if chain else FreeVector.basis(start)
-            q *= column._den
+            q *= r * column._den
             if den % q:
                 grown = lcm(den, q)
                 tables = [{key: grown // den * entry for key, entry in table.items()}
                           for table in tables]
                 den = grown
-            value *= den // q
+            value *= p * (den // q)
             table = tables[slot]
             for key, entry in column._num.items():
                 table[key] = table.get(key, 0) + value * entry

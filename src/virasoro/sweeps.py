@@ -1,17 +1,16 @@
 """The runner shared by the identity sweeps.
 
-A sweep checks one identity on every start of a basis list (partitions of a
-module up to a level bound, or the indices of a window) for each index record.
-The identity maps a record's indices to its two sides, each a list of chain
-terms (coeff, (f_1, ..., f_k)) standing for the operator sum of coeff *
-f_k...f_1, every f a cached basis column (see `core.chain_tables`).  `plan`
-picks the records whose formal defect is new and `decide_record` decides one in
-a single pass; `run_sweep` chains their outcomes and each other record's count
-of starts in canonical order (records, then starts) into
-`reports.first_counterexample`, which counts them up to the first
-counterexample, serially or, under --jobs, through `forked_outcomes`.  A serial
-run decides no record after the failing one, and reports are identical for any
-job count.
+A sweep checks one identity on every start of a basis list (partitions of a module up to a
+level bound, or the indices of a window) for each index record.  The identity maps a record's
+indices to its two sides, each a list of chain terms (coeff, (f_1, ..., f_k)) standing for the
+operator sum of coeff * f_k...f_1, every f a cached basis column (see `core.chain_tables`).
+`plan` picks the records whose formal defect is new and `decide_record` decides one in a single
+pass; `run_sweep` chains their outcomes and each other record's count of starts in canonical
+order (records, then starts) into `reports.first_counterexample`, which counts them up to the
+first counterexample, serially or, under --jobs, through `forked_outcomes`.  A serial run
+decides no record after the failing one, and reports are identical for any job count.  Each
+chain prefix's paths over the starts are expanded once per `run_sweep` call, in a memo kept on
+its memoized identity; forked children inherit the memo empty and each fills its own.
 """
 
 from __future__ import annotations
@@ -57,10 +56,12 @@ def decide_record(identity, starts, render, indices: dict) -> list:
     """The outcomes of one record, from one chain_tables pass of lhs - rhs over the starts.
 
     [held, render(indices, start, sides)] when the first failing start comes after held
-    starts that hold, else [len(starts)].
+    starts that hold, else [len(starts)].  The pass reuses the prefix paths of the memo
+    `identity.paths` when the identity has one, as `run_sweep`'s has.
     """
     sides = identity(**indices)
-    tables, _ = chain_tables(starts, sides[0] + [(-coeff, factors) for coeff, factors in sides[1]])
+    tables, _ = chain_tables(starts, sides[0] + [(-coeff, factors) for coeff, factors in sides[1]],
+                             getattr(identity, "paths", None))
     for held, (start, table) in enumerate(zip(starts, tables)):
         if any(table.values()):
             return [held, render(indices, start, sides)]
@@ -163,6 +164,7 @@ def run_sweep(check_name: str, parameters: dict, identity, tasks: list[dict], st
     neither the identity nor render is ever pickled.
     """
     built = lru_cache(maxsize=None)(identity)  # one build per record, for the plan and decisions
+    built.paths = {}  # the chain_tables memo of this sweep's prefixes, dropped when it returns
     decided, held = plan(built, tasks), [len(starts)]
     work = list(compress(tasks, decided))
     decide, workers = partial(decide_record, built, starts, render), worker_count(jobs, len(work))

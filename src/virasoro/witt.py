@@ -37,12 +37,11 @@ def jacobi_identity(ad: Column) -> Callable:
     R_a x = ad_x a, the sides are ad_m ad_n x + ad_n R_m x + sum_p c_p R_p x, where
     [e_m, e_n] = sum_p c_p e_p.  No antisymmetry is assumed.
     """
-    def right(a):
-        return lambda x: ad[x](a)
+    right = Column(lambda a: lambda x: ad[x](a))  # one R_a per a, so a sweep's memo shares it
 
     def sides(m, n):
-        return [(1, (ad[n], ad[m])), (1, (right(m), ad[n]))] + [
-            (c, (right(p),)) for p, c in ad[m](n).items()], []
+        return [(1, (ad[n], ad[m])), (1, (right[m], ad[n]))] + [
+            (c, (right[p],)) for p, c in ad[m](n).items()], []
     return sides
 
 

@@ -188,6 +188,41 @@ def test_chain_tables_match_per_start_fractions(alpha, c, h, terms, starts):
                               for coeff, chain in chains]))
 
 
+# One-factor operators for the memo test: few enough that prefixes repeat.
+prefix_ops = st.sampled_from([("J", -1), ("J", 0), ("J", 1), ("L", -1), ("L", 1),
+                              ("V", -1), ("V", 1)])
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=st.data(), alpha=exact, c=exact, h=exact,
+       starts=st.lists(st.sampled_from(partitions_up_to(2)), max_size=5))
+def test_memo_gives_the_tables_of_calls_without_one(data, alpha, c, h, starts):
+    """Terms sharing prefixes under different coefficients, split over calls through one memo.
+
+    Each drawn prefix comes with its tail past the first factor, so two different prefixes can
+    end in the same factor; coefficients include 0, chains include the empty one, and terms
+    repeat.  Every call, in any order, gives the tables and denominator of a memo-less call.
+    """
+    def factors(ops):
+        return tuple(verma.act_column(k, as_pair(c), as_pair(h)) if op == "V"
+                     else _fock_factors((op, k), alpha)[0] for op, k in ops)
+
+    drawn = data.draw(st.lists(st.lists(prefix_ops, max_size=3), min_size=1, max_size=3))
+    prefixes = [factors(ops) for ops in drawn] + [factors(ops[1:]) for ops in drawn]
+    term = st.tuples(exact, st.sampled_from(prefixes), st.lists(prefix_ops, max_size=1))
+    terms = [(coeff, prefix + factors(last))
+             for coeff, prefix, last in data.draw(st.lists(term, min_size=1, max_size=8))]
+    terms += data.draw(st.lists(st.sampled_from(terms), max_size=3))
+    order = data.draw(st.permutations(terms))
+    cuts = sorted(data.draw(st.lists(st.integers(0, len(order)), max_size=3)))
+    memo = {}
+    for begin, end in zip([0, *cuts], [*cuts, len(order)]):
+        assert chain_tables(starts, order[begin:end], memo) == chain_tables(starts,
+                                                                            order[begin:end])
+    event(f"{sum(bool(coeff) for coeff, _ in terms) - len(memo)} prefix reuses")
+    assert set(memo) == {chain[:-1] for coeff, chain in terms if coeff}
+
+
 # The identities as the vector path states them: two module vectors per basis vector.
 
 def _heisenberg(k, l, v):

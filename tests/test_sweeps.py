@@ -528,3 +528,54 @@ def test_planned_sweep_reports_as_deciding_every_record(data, name, defects):
         event(f"reference {reference.status}")
         assert run(1) == reference
         assert run(2) == reference
+
+
+def _shared_prefix_sweep(sweep, jobs):
+    """A sweep over the starts 0..4 whose records share the prefix f under coefficients 2 and -3.
+
+    Record r compares coeff * f then g against the one column fg = g∘f, or against bad, which
+    differs from fg at start 3; record 0 writes its right side 2 fg as fg + fg, record 3
+    repeats record 0, and record 2 fails first.
+    """
+    f = Column(lambda start: FreeVector.basis(start + 1, Fraction(1, 2))).__getitem__
+    g = Column(lambda start: FreeVector.basis(2 * start, 3)).__getitem__
+    fg, bad = (Column(lambda start, extra=extra: FreeVector.basis(
+        2 * start + 2, Fraction(3, 2) + extra * (start == 3))).__getitem__ for extra in (0, 1))
+    records = [(2, [(1, fg), (1, fg)]), (-3, [(-3, fg)]), (-3, [(-3, bad)]),
+               (2, [(1, fg), (1, fg)]), (2, [(2, bad)])]
+
+    def identity(r):
+        coeff, rhs = records[r]
+        return [(coeff, (f, g))], [(c, (column,)) for c, column in rhs]
+
+    return sweep("shared-prefix", {}, identity, [{"r": r} for r in range(len(records))],
+                 range(5), lambda indices, start, _: indices | {"start": start}, jobs)
+
+
+@pytest.mark.parametrize("jobs", [1, 2, 3])
+def test_shared_prefix_sweep_reports_as_without_a_memo(forks, jobs):
+    reference = _shared_prefix_sweep(every_record, 1)
+    assert (reference.counterexample, reference.checked_count) == ({"r": 2, "start": 3}, 14)
+    assert _shared_prefix_sweep(sweeps.run_sweep, jobs) == reference
+
+
+@pytest.mark.parametrize("jobs", [1, 2, 3])
+def test_prefix_memo_lives_for_one_sweep(forks, monkeypatch, jobs):
+    """Each run_sweep call starts an empty memo, so a builder swapped between sweeps meets no
+    paths of the last one: the sweep passes, fails with its pinned report, and passes again."""
+    memos, chain_tables = [], sweeps.chain_tables
+
+    def seen(starts, terms, memo=None):  # each memo this process reads, and its size then
+        if memo is not None and all(memo is not known for known, _ in memos):
+            memos.append((memo, len(memo)))
+        return chain_tables(starts, terms, memo)
+
+    monkeypatch.setattr(sweeps, "chain_tables", seen)
+    defect, run, expected = dict(zip(FAILURE_IDS, FAILURES))["normal-pair-sweep"]
+    reset_columns()
+    assert run(jobs).status == "pass"
+    with defect():
+        assert run(jobs).to_text() == expected
+    assert run(jobs).status == "pass"
+    assert {size for _, size in memos} <= {0}
+    assert len(memos) == 3 if jobs == 1 else len(memos) <= 3

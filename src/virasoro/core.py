@@ -243,38 +243,32 @@ def column(build: Callable, index, *parameters) -> Callable:
     return _COLUMNS[build, index, parameters].__getitem__
 
 
-def _paths(prefix: tuple, starts: list, value: int, q: int) -> list:
-    """The paths (value * entries, q * dens, slot, key) from each start through prefix's columns."""
-    paths = [(value, q, slot, start) for slot, start in enumerate(starts)]
-    for f in prefix:
-        paths = [(value * entry, q * column._den, slot, key) for value, q, slot, start in paths
-                 for column in (f(start),) for key, entry in column._num.items()]
-    return paths
-
-
 def chain_tables(starts: Iterable, terms: Iterable[tuple],
                  memo: dict | None = None) -> tuple[list[dict], int]:
     """Per start s, the table of sum of coeff * f_k(...f_1(e_s)) over (coeff, (f_1, ..., f_k)).
 
     Each f maps a basis index to its image, a FreeVector (a cached column); the empty chain is
-    the identity, and a term with coefficient 0 is skipped.  Every path through the columns
-    carries the slot of its start, and its scaled last column is added into that start's
-    integer table.  The tables share one denominator, all rescaled when its lcm grows; as in
-    `_accumulate`, they are not reduced and may keep cancelled entries as 0.  With a memo, a
-    dict the caller keeps for calls on the same starts, the paths through each prefix
-    f_1, ..., f_{k-1} are built once at coefficient 1, and a term's coefficient scales them at
-    its last column; without one it starts them.  The integers are the same.
+    the identity, and a term with coefficient 0 is skipped.  The paths (entry product, den
+    product, slot of the start, key) from every start through a chain's prefix f_1, ..., f_{k-1}
+    are built once, at coefficient 1, and kept in memo, a dict a caller may keep for calls on
+    the same starts (a new one per call by default).  A term's coefficient scales them at its
+    last column, whose entries are added into the integer table of the path's start.  The
+    tables share one denominator, all rescaled when its lcm grows; as in `_accumulate`, they are
+    not reduced and may keep cancelled entries as 0.
     """
-    starts = list(starts)
+    starts, memo = list(starts), {} if memo is None else memo
     tables, den = [{} for _ in starts], 1
     for coeff, chain in terms:
         if not coeff:
             continue
+        if (paths := memo.get(chain[:-1])) is None:
+            paths = [(1, 1, slot, start) for slot, start in enumerate(starts)]
+            for f in chain[:-1]:
+                paths = [(value * entry, q * column._den, slot, key)
+                         for value, q, slot, start in paths
+                         for column in (f(start),) for key, entry in column._num.items()]
+            memo[chain[:-1]] = paths
         p, r = coeff.numerator, coeff.denominator
-        if memo is None:
-            paths, p, r = _paths(chain[:-1], starts, p, r), 1, 1
-        elif (paths := memo.get(chain[:-1])) is None:
-            paths = memo[chain[:-1]] = _paths(chain[:-1], starts, 1, 1)
         for value, q, slot, start in paths:
             column = chain[-1](start) if chain else FreeVector.basis(start)
             q *= r * column._den

@@ -181,7 +181,12 @@ def test_chain_tables_match_per_start_fractions(alpha, c, h, terms, starts):
     event(f"{len(starts) - len(set(starts))} repeated starts")
     tables, den = chain_tables(starts, chains)
     assert len(tables) == len(starts) and den > 0
-    # the reference steps through Fraction vectors, one start at a time
+    _assert_stepped(starts, chains, tables, den)
+
+
+def _assert_stepped(starts, chains, tables, den):
+    """tables / den against a reference that steps through Fraction vectors, one start at a
+    time, sharing no paths between terms."""
     for start, table in zip(starts, tables):
         assert ({key: Fraction(value, den) for key, value in table.items() if value}
                 == _combined([(coeff, _oracle_chain(lambda f, p: dict(f(p).items()), start, chain))
@@ -201,7 +206,8 @@ def test_memo_gives_the_tables_of_calls_without_one(data, alpha, c, h, starts):
 
     Each drawn prefix comes with its tail past the first factor, so two different prefixes can
     end in the same factor; coefficients include 0, chains include the empty one, and terms
-    repeat.  Every call, in any order, gives the tables and denominator of a memo-less call.
+    repeat.  Every call, in any order, gives the tables and denominator of a call with a memo
+    of its own, and the values of the stepped Fraction reference.
     """
     def factors(ops):
         return tuple(verma.act_column(k, as_pair(c), as_pair(h)) if op == "V"
@@ -217,8 +223,9 @@ def test_memo_gives_the_tables_of_calls_without_one(data, alpha, c, h, starts):
     cuts = sorted(data.draw(st.lists(st.integers(0, len(order)), max_size=3)))
     memo = {}
     for begin, end in zip([0, *cuts], [*cuts, len(order)]):
-        assert chain_tables(starts, order[begin:end], memo) == chain_tables(starts,
-                                                                            order[begin:end])
+        tables, den = chain_tables(starts, order[begin:end], memo)
+        assert (tables, den) == chain_tables(starts, order[begin:end])
+        _assert_stepped(starts, order[begin:end], tables, den)
     event(f"{sum(bool(coeff) for coeff, _ in terms) - len(memo)} prefix reuses")
     assert set(memo) == {chain[:-1] for coeff, chain in terms if coeff}
 

@@ -560,22 +560,35 @@ def test_shared_prefix_sweep_reports_as_without_a_memo(forks, jobs):
 
 
 @pytest.mark.parametrize("jobs", [1, 2, 3])
-def test_prefix_memo_lives_for_one_sweep(forks, monkeypatch, jobs):
-    """Each run_sweep call starts an empty memo, so a builder swapped between sweeps meets no
-    paths of the last one: the sweep passes, fails with its pinned report, and passes again."""
-    memos, chain_tables = [], sweeps.chain_tables
+def test_prefix_memo_lives_for_one_sweep(forks, monkeypatch, tmp_path, jobs):
+    """Each run_sweep call has its own memo, which every process deciding its records first
+    reads empty, so a builder swapped between sweeps meets no paths of the last one: the sweep
+    passes, fails with its pinned report, and passes again.  The forked children log their
+    calls too."""
+    log, sweep, kept, chain_tables = tmp_path / "calls", [0], [], sweeps.chain_tables
 
-    def seen(starts, terms, memo=None):  # each memo this process reads, and its size then
-        if memo is not None and all(memo is not known for known, _ in memos):
-            memos.append((memo, len(memo)))
+    def seen(starts, terms, memo=None):  # each call's sweep, process, memo and the memo's size
+        kept.append(memo)  # alive to the end, so no later memo takes its id
+        with open(log, "a") as out:
+            out.write(f"{sweep[0]} {os.getpid()} {id(memo)} {len(memo)}\n")
         return chain_tables(starts, terms, memo)
 
     monkeypatch.setattr(sweeps, "chain_tables", seen)
     defect, run, expected = dict(zip(FAILURE_IDS, FAILURES))["normal-pair-sweep"]
     reset_columns()
     assert run(jobs).status == "pass"
+    sweep[0] = 1
     with defect():
         assert run(jobs).to_text() == expected
+    sweep[0] = 2
     assert run(jobs).status == "pass"
-    assert {size for _, size in memos} <= {0}
-    assert len(memos) == 3 if jobs == 1 else len(memos) <= 3
+    calls = [tuple(map(int, line.split())) for line in log.read_text().splitlines()]
+    first = {}
+    for number, pid, _, size in calls:
+        first.setdefault((number, pid), size)
+    assert set(first.values()) == {0}
+    assert len({(number, memo) for number, _, memo, _ in calls}) == 3
+    assert len({memo for _, _, memo, _ in calls}) == 3
+    processes = {pid for _, pid, _, _ in calls}
+    assert processes <= {os.getpid(), *forks}
+    assert (len(processes) > 1) == (jobs > 1)
